@@ -18,6 +18,14 @@ whose dimension vectors stay within the bound the total downward shift
 can never exceed that, which makes every coefficient read back through
 coefficient() exact regardless of how a product was parenthesized or
 ordered.
+
+qt_multiply gives each target y_gamma of a product one packed accumulator
+(series.PackedSum): every term pair adds one bigint product of packed
+series, shifted by the pair's skew form, and each target is unpacked and
+truncated once.  The digit width of one product comes from the bound
+min(sum L1(x) * max L1(y), max L1(x) * sum L1(y)) over the terms' series
+(L1 is the sum of absolute coefficients).  It holds because each x term
+meets at most one y term per target.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ from .errors import (
 from .ordering import RootOrder, admissible_total_order, validate_order
 from .partitions import SubquiverPartition
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
-from .series import VSeries, convolve_into, poincare_series
+from .series import PackedSum, VSeries, convolve_into, poincare_series, product_width
 
 
 def working_v_max(q: Quiver, bound: DimVector, v_max: int) -> int:
@@ -154,7 +162,9 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     q = x.quiver
     bound = x.bound.values
     work = working_v_max(q, x.bound, x.v_max)
-    acc: dict[tuple[int, ...], dict[int, int]] = {}
+    width = product_width(x.terms.values(), y.terms.values())
+    packs: dict = {}
+    acc: dict[tuple[int, ...], PackedSum] = {}
     for g1, c1 in x.terms.items():
         u = g1.values
         u_zero = g1.is_zero
@@ -167,11 +177,11 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
                 shift, sign = 0, 1
             else:
                 shift, sign = q.skew_values(u, w), -1
-            convolve_into(acc.setdefault(total, {}), c1, c2, shift, sign, work)
-    terms = {
-        DimVector(q.vertices, values): VSeries.from_terms(work, coeffs)
-        for values, coeffs in acc.items()
-    }
+            target = acc.get(total)
+            if target is None:
+                target = acc[total] = PackedSum(width, packs)
+            convolve_into(target, c1, c2, shift, sign, work)
+    terms = {DimVector(q.vertices, values): s.series(work) for values, s in acc.items()}
     return _element(q, x.bound, x.v_max, terms)
 
 

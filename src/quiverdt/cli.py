@@ -1,21 +1,24 @@
 """Command line interface.
 
 Every invocation ends with exit code 0 (checks passed), 1 (a verification
-failed) or 2 (bad input), plus a one-line summary.  --format jsonl swaps
-the human report for machine-readable JSON rows whose values round-trip
-to the in-memory report objects.
+failed), 2 (bad input) or 3 (internal error: a failed internal cross-check
+or any other unexpected exception, which is a bug; its traceback goes to
+stderr), plus a one-line summary.  --format jsonl swaps the human report
+for machine-readable JSON rows whose values round-trip to the in-memory
+report objects.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import trivial_dt, verify_factorization
 from .dynkin import NotDynkin, classify_dynkin, positive_roots
-from .errors import QuiverDtError
+from .errors import InconsistencyError, QuiverDtError
 from .ordering import admissible_total_order
 from .partitions import (
     SubquiverPartition,
@@ -82,9 +85,22 @@ class Reporter:
             print(f"{status}: {message}")
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_quiver(cfg: RunConfig) -> Quiver:
@@ -478,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                series=False, allp=False):
         sp.add_argument("--quiver", required=True, help="path to a quiver JSON file")
         sp.add_argument("--format", choices=("text", "jsonl"), default="text")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        sp.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CAP,
                         help="enumeration cap (default 10^6)")
         if partition:
             sp.add_argument("--partition",
@@ -489,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--gamma-bound",
                             help="integer or JSON object (default 2 per vertex)")
         if order:
-            sp.add_argument("--q-order", type=int, default=DEFAULT_Q_ORDER,
+            sp.add_argument("--q-order", type=_int_at_least(0), default=DEFAULT_Q_ORDER,
                             help="series truncation in powers of q (default 20)")
         if series:
             sp.add_argument("--series",
@@ -541,14 +557,14 @@ def main(argv: list[str] | None = None) -> int:
     rep = Reporter(cfg.out_format)
     try:
         return HANDLERS[cfg.command](cfg)
-    except QuiverDtError as e:
+    except Exception as e:
+        internal = isinstance(e, InconsistencyError) or not isinstance(e, QuiverDtError)
+        message = f"internal error: {type(e).__name__}: {e}" if internal else str(e)
+        if internal:
+            traceback.print_exc()
         if cfg.out_format == "jsonl":
-            rep.summary("ERROR", str(e))
-        return _fail(str(e))
-    except Exception as e:  # pragma: no cover - defensive
-        if cfg.out_format == "jsonl":
-            rep.summary("ERROR", f"internal error: {e}")
-        return _fail(f"internal error: {e}")
+            rep.summary("ERROR", message)
+        return _fail(message, 3 if internal else 2)
 
 
 if __name__ == "__main__":

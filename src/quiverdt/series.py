@@ -4,14 +4,76 @@ Coefficients are Python integers; there is no rational or floating
 fallback, and any computation that would need one is a bug surfaced as
 an error.  A series carries its truncation order v_max and keeps every
 exponent up to and including it.  Mixing truncation orders is an error.
+
+Products use Kronecker substitution.  A coefficient run c_0..c_(n-1) is
+packed into the one signed integer sum(c_i * 2^(B*i)), so a product of
+series is one native bigint multiply, and the signed B-bit digits of the
+result are the product's coefficients.  Packing and unpacking go through
+array('b'|'h'|'i'|'q') when B is 8, 16, 32 or 64, and through byte slices
+for wider B.  The digit width B is chosen per product from a proven bound
+on every output coefficient: L1(a) * L1(b) for a * b, where L1 is the sum
+of absolute coefficients.  A digit outside that bound would wrap, so every
+unpacked product is checked against its value at v = 1, and a mismatch or
+a top digit past the width raises InconsistencyError.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .errors import InvalidInputError, NonUnitSeriesError, TruncationMismatchError
+from .errors import (
+    InconsistencyError,
+    InvalidInputError,
+    NonUnitSeriesError,
+    TruncationMismatchError,
+)
+
+_INT = {int}
+# typecode of the signed machine word of each width in bits, narrowest first;
+# the packed form is little-endian, so other machines take the byte-sliced path
+_WORD_CODES = {8 * array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def _digit_width(bound: int) -> int:
+    """Bits per packed digit that hold every integer of absolute value at most bound."""
+    need = bound.bit_length() + 1
+    return next((w for w in _WORD_CODES if need <= w), -(-need // 8) * 8)
+
+
+def _bias(width: int, n: int) -> int:
+    """2^(width-1) in each of n digits: adding it makes every signed digit non-negative."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs, width: int) -> int:
+    """sum(c_i * 2^(width*i)); each c_i must fit a signed width-bit digit."""
+    code, size = _WORD_CODES.get(width), width // 8
+    try:
+        raw = (array(code, coeffs).tobytes() if code else
+               b"".join(c.to_bytes(size, "little", signed=True) for c in coeffs))
+    except OverflowError:
+        raise InconsistencyError(f"series coefficient overflows its {width}-bit digit") from None
+    # raw holds two's complement digits; flipping each top bit gives the biased ones
+    bias = _bias(width, len(coeffs))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(value: int, n: int, width: int, check: int) -> tuple[int, ...]:
+    """The n signed width-bit digits of value, whose sum must equal check."""
+    bias, code, size = _bias(width, n), _WORD_CODES.get(width), width // 8
+    try:
+        raw = ((value + bias) ^ bias).to_bytes(n * size, "little")
+    except OverflowError:
+        raise InconsistencyError(f"packed product overflows {n} digits of {width} bits") from None
+    digits = tuple(array(code, raw) if code else
+                   (int.from_bytes(raw[i:i + size], "little", signed=True)
+                    for i in range(0, len(raw), size)))
+    if sum(digits) != check:
+        raise InconsistencyError(f"packed product overflowed its {width}-bit digits")
+    return digits
 
 
 @dataclass(frozen=True)
@@ -27,23 +89,20 @@ class VSeries:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = list(self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if not set(map(type, coeffs)) <= _INT:
+            for c in coeffs:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise InvalidInputError(f"series coefficients must be integers, got {c!r}")
+            coeffs = tuple(map(int, coeffs))
         min_exp = self.min_exp
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InvalidInputError(f"series coefficients must be integers, got {c!r}")
-        drop = len(coeffs) - max(0, self.v_max - min_exp + 1)
-        if drop > 0:
-            del coeffs[len(coeffs) - drop:]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            min_exp += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            min_exp = 0
-        object.__setattr__(self, "min_exp", min_exp)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        start, end = 0, min(len(coeffs), max(0, self.v_max - min_exp + 1))
+        while start < end and not coeffs[start]:
+            start += 1
+        while end > start and not coeffs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "min_exp", min_exp + start if start < end else 0)
+        object.__setattr__(self, "coeffs", coeffs[start:end])
 
     @classmethod
     def zero(cls, v_max: int) -> VSeries:
@@ -119,11 +178,15 @@ class VSeries:
         if isinstance(other, int):
             return VSeries(self.v_max, self.min_exp, tuple(other * c for c in self.coeffs))
         self._check(other)
-        if self.is_zero or other.is_zero:
+        # only coefficients that can reach v^v_max take part
+        keep = max(0, self.v_max - self.min_exp - other.min_exp + 1)
+        a, b = self.coeffs[:keep], other.coeffs[:keep]
+        if not a or not b:
             return VSeries(self.v_max)
-        acc: dict[int, int] = {}
-        convolve_into(acc, self, other, 0, 1, self.v_max)
-        return VSeries.from_terms(self.v_max, acc)
+        width = _digit_width(_l1(a) * _l1(b))
+        product = _pack(a, width) * _pack(b, width)
+        digits = _unpack(product, len(a) + len(b) - 1, width, sum(a) * sum(b))
+        return VSeries(self.v_max, self.min_exp + other.min_exp, digits)
 
     def __rmul__(self, other: int) -> VSeries:
         return self.__mul__(other)
@@ -180,17 +243,74 @@ class VSeries:
         return " ".join(parts)
 
 
-def convolve_into(acc: dict[int, int], a: VSeries, b: VSeries, shift: int, sign: int, v_max: int) -> None:
-    """Accumulate sign * v^shift * a * b into a coefficient map, truncating."""
-    b_items = list(b.items())
-    for e1, c1 in a.items():
-        base = e1 + shift
-        sc1 = sign * c1
-        for e2, c2 in b_items:
-            e = base + e2
-            if e > v_max:
-                break
-            acc[e] = acc.get(e, 0) + sc1 * c2
+def _l1(coeffs) -> int:
+    return sum(map(abs, coeffs))
+
+
+def product_width(xs, ys) -> int:
+    """Digit width for sums of products a * b with a from xs and b from ys.
+
+    In each sum every a meets at most one b and every b at most one a, so
+    each coefficient of a sum is bounded by
+    min(sum L1(a) * max L1(b), max L1(a) * sum L1(b)).
+    """
+    lx = [_l1(s.coeffs) for s in xs] or [0]
+    ly = [_l1(s.coeffs) for s in ys] or [0]
+    return _digit_width(min(sum(lx) * max(ly), max(lx) * sum(ly)))
+
+
+class PackedSum:
+    """A running sum of shifted series products, packed at 2^width.
+
+    value is the sum evaluated at v = 2^width, offset so that exponent low
+    is digit 0; high is the top exponent any product reached, and check is
+    the sum's value at v = 1.  Every digit must stay within the bound the
+    width was chosen for (see product_width).  Packed operands are memoized
+    in packs, keyed by identity; sums of one product may share it.
+    """
+
+    __slots__ = ("width", "packs", "low", "high", "value", "check")
+
+    def __init__(self, width: int, packs: dict):
+        self.width, self.packs = width, packs
+        self.low = self.high = None
+        self.value = self.check = 0
+
+    def pack(self, s: VSeries) -> tuple[int, int]:
+        """s packed at 2^width, and its value at v = 1."""
+        hit = self.packs.get(id(s))
+        if hit is None:
+            # the series is kept alive with its entry, so its id cannot be reused
+            hit = self.packs[id(s)] = (_pack(s.coeffs, self.width), sum(s.coeffs), s)
+        return hit[0], hit[1]
+
+    def series(self, v_max: int) -> VSeries:
+        """The sum, unpacked and truncated at v_max."""
+        if self.low is None:
+            return VSeries(v_max)
+        n = self.high - self.low + 1
+        return VSeries(v_max, self.low, _unpack(self.value, n, self.width, self.check))
+
+
+def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int, v_max: int) -> None:
+    """Add sign * v^shift * a * b to acc, unless it lies wholly past v_max.
+
+    The product's part past v_max is carried and cut when acc is unpacked.
+    """
+    low = a.min_exp + b.min_exp + shift
+    if low > v_max or not a.coeffs or not b.coeffs:
+        return
+    pa, ca = acc.pack(a)
+    pb, cb = acc.pack(b)
+    high = low + len(a.coeffs) + len(b.coeffs) - 2
+    if acc.low is None:
+        acc.low = acc.high = low
+    elif low < acc.low:
+        acc.value <<= acc.width * (acc.low - low)
+        acc.low = low
+    acc.value += (sign * pa * pb) << (acc.width * (low - acc.low))
+    acc.high = max(acc.high, high)
+    acc.check += sign * ca * cb
 
 
 @lru_cache(maxsize=None)

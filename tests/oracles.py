@@ -44,6 +44,47 @@ def naive_poly_mul(a_pairs, b_pairs):
     return sorted((e, c) for e, c in out.items() if c)
 
 
+def dict_convolve_into(acc: dict[int, int], a: VSeries, b: VSeries, shift: int, sign: int,
+                       v_max: int) -> None:
+    """Accumulate sign * v^shift * a * b into a coefficient map, truncating."""
+    b_items = list(b.items())
+    for e1, c1 in a.items():
+        base = e1 + shift
+        sc1 = sign * c1
+        for e2, c2 in b_items:
+            e = base + e2
+            if e > v_max:
+                break
+            acc[e] = acc.get(e, 0) + sc1 * c2
+
+
+def dense_qt_multiply(x, y) -> dict[tuple[int, ...], VSeries]:
+    """The quantum torus product x * y as {gamma values: series at the working cutoff}.
+
+    Term pairs are convolved coefficient by coefficient into dicts, with the
+    skew form read off the arrow list; only nonzero series are kept.
+    """
+    q = x.quiver
+    b = x.bound.values
+    index = {v: i for i, v in enumerate(q.vertices)}
+    arrows = [(index[a.tail], index[a.head]) for a in q.arrows]
+    work = x.v_max + sum(b[t] * b[h] for t, h in arrows)
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
+    for g1, c1 in x.terms.items():
+        for g2, c2 in y.terms.items():
+            u, w = g1.values, g2.values
+            total = tuple(i + j for i, j in zip(u, w))
+            if any(t > c for t, c in zip(total, b)):
+                continue
+            if not any(u) or not any(w):
+                shift, sign = 0, 1
+            else:
+                shift, sign = sum(u[t] * w[h] - u[h] * w[t] for t, h in arrows), -1
+            dict_convolve_into(acc.setdefault(total, {}), c1, c2, shift, sign, work)
+    out = {g: VSeries.from_terms(work, coeffs) for g, coeffs in acc.items()}
+    return {g: s for g, s in out.items() if not s.is_zero}
+
+
 def cartan_matrix(q: Quiver) -> list[list[int]]:
     """Symmetrized Cartan matrix of the underlying graph (simply laced)."""
     n = q.n

@@ -25,6 +25,9 @@ from quiverdt import (
     trivial_dt,
     verify_factorization,
 )
+from quiverdt import series as series_mod
+from quiverdt.algebra import working_v_max
+from quiverdt.errors import InconsistencyError
 
 V_MAX = 16
 
@@ -38,6 +41,48 @@ def all_gammas(q, bound):
 
     ranges = [range(x + 1) for x in bound.values]
     return [q.vector(vals) for vals in itertools.product(*ranges)]
+
+
+def random_element(rng, q, bound, work):
+    """A sum of up to six monomials with dense random coefficients, some past 64 bits."""
+    el = monomial(q, q.zero(), 0, bound, V_MAX)
+    for _ in range(rng.randint(1, 6)):
+        g = q.vector([rng.randint(0, b) for b in bound.values])
+        top = rng.choice((3, 2**40, 2**100))
+        terms = {rng.randint(-4, work): rng.randint(-top, top) for _ in range(rng.randint(1, 12))}
+        el = el + monomial(q, g, VSeries.from_terms(work, terms), bound, V_MAX)
+    return el
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_qt_multiply_matches_dense_reference(name, request, rng):
+    q = request.getfixturevalue(name)
+    bound = bound_of(q, 2)
+    work = working_v_max(q, bound, V_MAX)
+    for _ in range(25):
+        x, y = random_element(rng, q, bound, work), random_element(rng, q, bound, work)
+        got = qt_multiply(x, y)
+        assert {g.values: s for g, s in got.terms.items()} == oracles.dense_qt_multiply(x, y)
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_qt_multiply_of_dilogs_matches_dense_reference(name, request):
+    q = request.getfixturevalue(name)
+    bound = bound_of(q, 2)
+    x = identity(q, bound, V_MAX)
+    for v in q.vertices:
+        y = dilog(q, q.unit(v), bound, V_MAX)
+        want = oracles.dense_qt_multiply(x, y)
+        x = qt_multiply(x, y)
+        assert {g.values: s for g, s in x.terms.items()} == want
+
+
+def test_qt_multiply_forced_width_overflow_raises(a2, monkeypatch):
+    b = bound_of(a2, 2)
+    x = monomial(a2, a2.unit("1"), VSeries(V_MAX, 0, (100, 100, 100)), b, V_MAX)
+    monkeypatch.setattr(series_mod, "_digit_width", lambda bound: 8)
+    with pytest.raises(InconsistencyError):
+        qt_multiply(x, x)
 
 
 def test_identity_is_multiplicative_unit(a2):

@@ -271,3 +271,47 @@ def test_jsonl_betti_roundtrips_library_values(capsys, quiver_dir):
         t.factors for t in verdict.terms
     ]
     assert row["passed"] is verdict.equal is True
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("dt", "--q-order", "-3"),
+    ("betti", "--q-order", "-1"),
+    ("dt", "--cap", "-1"),
+    ("codim", "--cap", "0"),
+])
+def test_out_of_range_flags_exit_2_naming_the_flag(capsys, a3_path, command, flag, value):
+    code, out, err = run(capsys, command, "--quiver", a3_path, f"{flag}={value}")
+    assert code == 2
+    assert f"argument {flag}: must be at least" in err
+    assert "inverse requires" not in err and not out
+
+
+def test_q_order_zero_and_cap_one_are_accepted(capsys, quiver_dir):
+    code, out, _ = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"),
+                       "--q-order", "0", "--cap", "1")
+    assert code == 0
+    assert "y(0,0): 1" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_failed_internal_check_exits_3(capsys, quiver_dir, monkeypatch, fmt):
+    from quiverdt.errors import InconsistencyError
+
+    def broken(*args, **kwargs):
+        raise InconsistencyError("packed product overflowed its 8-bit digits")
+
+    monkeypatch.setattr(cli, "trivial_dt", broken)
+    code, out, err = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"), "--format", fmt)
+    assert code == 3
+    assert "error: internal error: InconsistencyError: packed product overflowed" in err
+    assert "Traceback (most recent call last)" in err
+    if fmt == "jsonl":
+        row = jsonl_rows(out)[-1]
+        assert row["status"] == "ERROR" and row["message"].startswith("internal error:")
+
+
+def test_unexpected_exception_exits_3(capsys, quiver_dir, monkeypatch):
+    monkeypatch.setattr(cli, "trivial_dt", lambda *args: {}["missing"])
+    code, _, err = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"))
+    assert code == 3
+    assert "error: internal error: KeyError: 'missing'" in err

@@ -6,9 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from quiverdt import NonUnitSeriesError, VSeries, partition_count, poincare_series
-from quiverdt.errors import InvalidInputError
+from quiverdt import series as series_mod
+from quiverdt.errors import InconsistencyError, InvalidInputError
 
 pair_dicts = st.dictionaries(st.integers(-6, 12), st.integers(-9, 9), max_size=6)
+# coefficients from one digit width to past 64 bits, so every packing path runs
+wide_coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40),
+                        st.integers(-(2**200), 2**200))
+wide_dicts = st.dictionaries(st.integers(-12, 14), wide_coeffs, max_size=8)
 
 
 def series(terms, v_max=24):
@@ -54,15 +59,68 @@ def test_mul_commutative_associative(a, b, c):
     assert (sa * sb) * sc == sa * (sb * sc)
 
 
-@given(a=pair_dicts, b=pair_dicts)
-def test_mul_matches_naive_convolution(a, b):
-    got = series(a) * series(b)
-    want = [
-        (e, c)
-        for e, c in oracles.naive_poly_mul(list(a.items()), list(b.items()))
-        if e <= 24
-    ]
+@given(a=wide_dicts, b=wide_dicts, v_max=st.integers(-10, 28))
+@settings(max_examples=300)
+def test_mul_matches_naive_convolution(a, b, v_max):
+    a = {e: c for e, c in a.items() if e <= v_max}
+    b = {e: c for e, c in b.items() if e <= v_max}
+    got = series(a, v_max) * series(b, v_max)
+    want = [(e, c) for e, c in oracles.naive_poly_mul(list(a.items()), list(b.items()))
+            if e <= v_max]
     assert list(got.items()) == want
+
+
+def test_packed_mul_keeps_the_term_exactly_at_v_max():
+    a = series({-3: 2**200, 5: -1}, v_max=7)
+    b = series({-4: 3, 2: 1, 3: 4, 7: -(2**70)}, v_max=7)
+    got = a * b
+    assert got.to_pairs() == [[-7, 3 * 2**200], [-1, 2**200], [0, 4 * 2**200], [1, -3],
+                              [4, -(2**270)], [7, -1]]
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 72, 200])
+def test_pack_unpack_roundtrip(width):
+    top = 2 ** (width - 1)
+    coeffs = (top - 1, -top, 0, 1, -1, top // 3, -(top // 5))
+    packed = series_mod._pack(coeffs, width)
+    assert packed == sum(c << (width * i) for i, c in enumerate(coeffs))
+    assert series_mod._unpack(packed, len(coeffs), width, sum(coeffs)) == coeffs
+
+
+def test_digit_width_holds_the_bound():
+    assert series_mod._digit_width(127) == 8
+    assert series_mod._digit_width(128) == 16
+    assert series_mod._digit_width(2**63 - 1) == 64
+    assert series_mod._digit_width(2**63) == 72
+    for bound in (0, 1, 5, 2**31, 2**100 + 7):
+        width = series_mod._digit_width(bound)
+        assert width % 8 == 0 and bound < 2 ** (width - 1)
+
+
+def test_forced_width_overflow_raises(monkeypatch):
+    monkeypatch.setattr(series_mod, "_digit_width", lambda bound: 8)
+    a = series({0: 100, 1: 100, 2: 100})
+    with pytest.raises(InconsistencyError):  # the top digit overflows
+        a * a
+    with pytest.raises(InconsistencyError):  # v^1 is 9999; its carry leaves the top digit in range
+        series({0: 1, 1: 100}) * series({0: 100, 1: -1})
+    with pytest.raises(InconsistencyError):  # an operand that does not fit its digit
+        series({0: 300}) * series({0: 1})
+
+
+def test_coefficients_must_be_plain_integers():
+    with pytest.raises(InvalidInputError, match="series coefficients must be integers, got True"):
+        VSeries(8, 0, (1, True))
+    with pytest.raises(InvalidInputError, match="got 1.5"):
+        VSeries(8, 0, (1.5,))
+
+
+def test_int_subclass_coefficients_become_ints():
+    class Big(int):
+        pass
+
+    s = VSeries(8, 0, (Big(3), 0, Big(-2)))
+    assert s.coeffs == (3, 0, -2) and set(map(type, s.coeffs)) == {int}
 
 
 @given(a=pair_dicts, b=pair_dicts)
