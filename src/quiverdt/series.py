@@ -12,9 +12,11 @@ result are the product's coefficients.  Packing and unpacking go through
 array('b'|'h'|'i'|'q') when B is 8, 16, 32 or 64, and through byte slices
 for wider B.  The digit width B is chosen per product from a proven bound
 on every output coefficient: L1(a) * L1(b) for a * b, where L1 is the sum
-of absolute coefficients.  A digit outside that bound would wrap, so every
-unpacked product is checked against its value at v = 1, and a mismatch or
-a top digit past the width raises InconsistencyError.
+of absolute coefficients.  That bound is what keeps every digit from
+wrapping.  Unpacking also raises InconsistencyError when the top digit
+leaves the width or the digits do not sum to the product's value at v = 1;
+this catches most wraps a wrong bound would cause, but not one whose
+carries cancel (true digits 200, -257, 57 at B = 8 unpack as -56, 0, 56).
 """
 from __future__ import annotations
 
@@ -33,7 +35,9 @@ from .errors import (
 
 _INT = {int}
 # typecode of the signed machine word of each width in bits, narrowest first;
-# the packed form is little-endian, so other machines take the byte-sliced path
+# array converts a whole run in C, where byte slices cost a Python call per
+# digit.  The packed form is little-endian, so other machines take the
+# byte-sliced path
 _WORD_CODES = {8 * array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
 
 
