@@ -6,7 +6,6 @@ from __future__ import annotations
 from .algebra import (
     QuantumElement,
     VerificationReport,
-    coefficient,
     dilog,
     factorization_product,
     identity,
@@ -33,7 +32,6 @@ from .errors import (
     InvalidInputError,
     InvalidOrderError,
     KeyMismatchError,
-    NonUnitSeriesError,
     NotAdmissibleError,
     NotAPartitionError,
     NotConnectedError,
@@ -42,7 +40,6 @@ from .errors import (
     QuiverDtError,
     QuiverParseError,
     TruncationMismatchError,
-    UnknownArrowError,
     UnknownVertexError,
 )
 from .ordering import (
@@ -50,7 +47,6 @@ from .ordering import (
     RootEntry,
     RootOrder,
     admissible_total_order,
-    brute_force_valid_orders,
     expected_root_multiset,
     reineke_inner_order,
     validate_order,
@@ -69,18 +65,15 @@ from .quiver import (
     Arrow,
     DimVector,
     Quiver,
-    VertexOrder,
     check_vertex_partition,
-    contraction,
     euler_form,
     induced_subquiver,
     parse_quiver,
     shortest_directed_cycle,
     skew_form,
-    skew_form_restricted,
     topological_vertex_order,
 )
-from .series import VSeries, partition_count, poincare_series
+from .series import VSeries, poincare_series
 from .strata import (
     AdditivityVerdict,
     BettiTerm,

@@ -217,9 +217,8 @@ def trivial_dt(q: Quiver, bound: DimVector, v_max: int) -> QuantumElement:
     This is the combinatorial DT invariant of the quiver, truncated; it is
     the reference side of every factorization identity here.
     """
-    order = topological_vertex_order(q)
     out = identity(q, bound, v_max)
-    for v in order.sequence:
+    for v in topological_vertex_order(q):
         out = qt_multiply(out, dilog(q, q.unit(v), bound, v_max))
     return out
 
@@ -289,8 +288,3 @@ def verify_factorization(
     return VerificationReport(
         q, order.partition, order, bound, v_max, not mismatches, tuple(mismatches)
     )
-
-
-def coefficient(x: QuantumElement, gamma: DimVector) -> VSeries:
-    """Series coefficient of y_gamma in x; zero when absent, error past the bound."""
-    return x.coefficient(gamma)

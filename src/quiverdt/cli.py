@@ -13,13 +13,13 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 from .algebra import trivial_dt, verify_factorization
-from .dynkin import NotDynkin, classify_dynkin, positive_roots
-from .errors import InconsistencyError, QuiverDtError
-from .ordering import admissible_total_order
+from .dynkin import DEFAULT_CAP, NotDynkin, classify_dynkin, positive_roots
+from .errors import InconsistencyError, QuiverDtError, QuiverParseError
+from .ordering import admissible_total_order, reineke_inner_order
 from .partitions import (
     SubquiverPartition,
     check_admissible,
@@ -35,7 +35,7 @@ from .quiver import (
     parse_quiver,
     skew_form,
     topological_vertex_order,
-    underlying_connected,
+    underlying_components,
 )
 from .series import VSeries
 from .strata import (
@@ -47,22 +47,7 @@ from .strata import (
 )
 
 DEFAULT_Q_ORDER = 20
-DEFAULT_CAP = 10**6
 DEFAULT_BOUND_ENTRY = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    quiver_path: str
-    out_format: str = "text"
-    cap: int = DEFAULT_CAP
-    q_order: int = DEFAULT_Q_ORDER
-    partition_spec: str | None = None
-    gamma_spec: str | None = None
-    gamma_bound_spec: str | None = None
-    series_spec: str | None = None
-    all_partitions: bool = False
 
 
 class Reporter:
@@ -103,46 +88,62 @@ def _int_at_least(low: int):
     return parse
 
 
-def _load_quiver(cfg: RunConfig) -> Quiver:
-    path = Path(cfg.quiver_path)
+def _load_quiver(args: argparse.Namespace) -> Quiver:
     try:
-        text = path.read_text()
-    except OSError as e:
-        raise QuiverDtError(f"cannot read quiver file {cfg.quiver_path}: {e}") from None
-    return parse_quiver(text)
+        text = Path(args.quiver).read_text()
+    except (OSError, UnicodeError) as e:
+        raise QuiverDtError(f"cannot read quiver file {args.quiver}: {e}") from None
+    try:
+        return parse_quiver(text)
+    except QuiverParseError as e:
+        raise QuiverParseError(f"quiver file {args.quiver}: {e}") from None
 
 
-def _parse_json(spec: str, what: str):
+def _parse_json(spec: str, flag: str):
     try:
         return json.loads(spec)
-    except json.JSONDecodeError as e:
-        raise QuiverDtError(f"malformed {what}: {e}") from None
+    except ValueError as e:  # JSONDecodeError, or an integer literal too long to convert
+        raise QuiverDtError(f"argument {flag}: malformed JSON: {e}") from None
+    except RecursionError:
+        raise QuiverDtError(f"argument {flag}: malformed JSON: nested too deeply") from None
 
 
 def _parse_gamma(q: Quiver, spec: str) -> DimVector:
-    data = _parse_json(spec, "gamma")
+    data = _parse_json(spec, "--gamma")
     if not isinstance(data, dict):
         raise QuiverDtError("gamma must be a JSON object mapping vertex to integer")
     return q.vector({str(k): v for k, v in data.items()})
 
 
-def _parse_bound(q: Quiver, spec: str | None) -> DimVector:
+def _parse_bound(q: Quiver, spec: str | None, cap: int) -> DimVector:
+    """The support bound; its box of dimension vectors may hold at most cap of them."""
     if spec is None:
-        return q.vector({v: DEFAULT_BOUND_ENTRY for v in q.vertices})
-    data = _parse_json(spec, "gamma bound")
-    if isinstance(data, int) and not isinstance(data, bool):
-        return q.vector({v: data for v in q.vertices})
-    if isinstance(data, dict):
-        return q.vector({str(k): v for k, v in data.items()})
-    raise QuiverDtError("gamma bound must be an integer or a vertex-to-integer object")
+        bound = q.vector({v: DEFAULT_BOUND_ENTRY for v in q.vertices})
+    else:
+        data = _parse_json(spec, "--gamma-bound")
+        if isinstance(data, int) and not isinstance(data, bool):
+            bound = q.vector({v: data for v in q.vertices})
+        elif isinstance(data, dict):
+            bound = q.vector({str(k): v for k, v in data.items()})
+        else:
+            raise QuiverDtError("gamma bound must be an integer or a vertex-to-integer object")
+    box = prod(b + 1 for b in bound.values)
+    if box > cap:
+        raise QuiverDtError(
+            f"argument --gamma-bound: the box of {bound} holds {box} dimension vectors, "
+            f"more than --cap {cap}"
+        )
+    return bound
 
 
 def _parse_partition(q: Quiver, spec: str) -> SubquiverPartition:
-    text = spec
-    path = Path(spec)
-    if path.is_file():
-        text = path.read_text()
-    data = _parse_json(text, "partition")
+    """A JSON array of blocks, or @path for a file holding one."""
+    if spec.startswith("@"):
+        try:
+            spec = Path(spec[1:]).read_text()
+        except (OSError, UnicodeError) as e:
+            raise QuiverDtError(f"argument --partition: cannot read {spec[1:]}: {e}") from None
+    data = _parse_json(spec, "--partition")
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
         raise QuiverDtError("partition must be a JSON array of arrays of vertex names")
     blocks = [[str(v) for v in b] for b in data]
@@ -150,14 +151,10 @@ def _parse_partition(q: Quiver, spec: str) -> SubquiverPartition:
 
 
 def _parse_series(q: Quiver, p: SubquiverPartition, spec: str):
-    data = _parse_json(spec, "series")
+    data = _parse_json(spec, "--series")
     if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
         raise QuiverDtError("series must be a JSON array of per-block multiplicity arrays")
     return series_from_inner_lists(q, p, data)
-
-
-def _dv(g: DimVector) -> dict[str, int]:
-    return g.as_dict()
 
 
 def _partition_lists(p: SubquiverPartition) -> list[list[str]]:
@@ -165,46 +162,24 @@ def _partition_lists(p: SubquiverPartition) -> list[list[str]]:
 
 
 def _order_rows(order) -> list[dict]:
-    return [{"root": _dv(e.root), "block": e.block} for e in order.entries]
+    return [{"root": e.root.as_dict(), "block": e.block} for e in order.entries]
 
 
-def _components(q: Quiver) -> list[Quiver]:
-    remaining = set(q.vertices)
-    adj: dict[str, set[str]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adj[a.tail].add(a.head)
-        adj[a.head].add(a.tail)
-    comps = []
-    for v in q.vertices:
-        if v not in remaining:
-            continue
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        remaining -= seen
-        comps.append(induced_subquiver(q, seen))
-    return comps
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
     units = [q.unit(v) for v in q.vertices]
     chi = [[euler_form(q, a, b) for b in units] for a in units]
     lam = [[skew_form(q, a, b) for b in units] for a in units]
     witness = None
     topo: tuple[str, ...] | None = None
     try:
-        topo = topological_vertex_order(q).sequence
+        topo = topological_vertex_order(q)
     except QuiverDtError as e:
         witness = getattr(e, "witness", None)
     comps = []
-    for comp in _components(q):
+    for members in underlying_components(q):
+        comp = induced_subquiver(q, [q.vertices[i] for i in members])
         ct = classify_dynkin(comp)
         comps.append(
             {
@@ -252,9 +227,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_partitions(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
+def cmd_partitions(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
     found = enumerate_partitions(q)
     admissible = 0
     for i, p in enumerate(found, start=1):
@@ -281,18 +256,18 @@ def cmd_partitions(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_roots(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
-    if cfg.partition_spec is None:
+def cmd_roots(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
+    if args.partition is None:
         rs = positive_roots(q)
         for r in rs.roots:
             rep.text(f"{r}")
-            rep.row(type="root", root=_dv(r))
+            rep.row(type="root", root=r.as_dict())
         rep.summary("OK", f"{len(rs.roots)} positive roots of type {rs.dynkin_type}",
                     count=len(rs.roots), dynkin=str(rs.dynkin_type))
         return 0
-    p = _parse_partition(q, cfg.partition_spec)
+    p = _parse_partition(q, args.partition)
     order = admissible_total_order(q, p)
     rep.text(f"blocks in contraction order: {order.partition}")
     for i, e in enumerate(order.entries, start=1):
@@ -305,22 +280,22 @@ def cmd_roots(cfg: RunConfig) -> int:
 
 
 def _element_rows(el) -> list[dict]:
-    return [{"gamma": _dv(g), "series": el.coefficient(g).to_pairs()} for g in el.support()]
+    return [{"gamma": g.as_dict(), "series": el.coefficient(g).to_pairs()} for g in el.support()]
 
 
-def cmd_dt(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
-    bound = _parse_bound(q, cfg.gamma_bound_spec)
-    v_max = 2 * cfg.q_order
+def cmd_dt(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
+    bound = _parse_bound(q, args.gamma_bound, args.cap)
+    v_max = 2 * args.q_order
     el = trivial_dt(q, bound, v_max)
-    rep.text(f"combinatorial DT invariant, support bound {bound}, q-order {cfg.q_order}")
+    rep.text(f"combinatorial DT invariant, support bound {bound}, q-order {args.q_order}")
     for g in el.support():
         rep.text(f"y{g}: {el.coefficient(g)}")
     for row in _element_rows(el):
         rep.row(type="dt-term", **row)
     rep.summary("OK", f"{len(el.terms)} terms within bound {bound}",
-                terms=len(el.terms), bound=_dv(bound), q_order=cfg.q_order)
+                terms=len(el.terms), bound=bound.as_dict(), q_order=args.q_order)
     return 0
 
 
@@ -338,22 +313,22 @@ def _report_factorization(rep: Reporter, report) -> None:
         type="factorization",
         partition=_partition_lists(report.partition),
         order=_order_rows(report.order),
-        bound=_dv(report.bound),
+        bound=report.bound.as_dict(),
         q_order=report.v_max // 2,
         passed=report.passed,
         mismatches=[
-            {"gamma": _dv(g), "trivial": a.to_pairs(), "factorized": b.to_pairs()}
+            {"gamma": g.as_dict(), "trivial": a.to_pairs(), "factorized": b.to_pairs()}
             for g, a, b in report.mismatches
         ],
     )
 
 
-def cmd_factorize(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
-    bound = _parse_bound(q, cfg.gamma_bound_spec)
-    v_max = 2 * cfg.q_order
-    if cfg.all_partitions:
+def cmd_factorize(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
+    bound = _parse_bound(q, args.gamma_bound, args.cap)
+    v_max = 2 * args.q_order
+    if args.all_partitions:
         reference = trivial_dt(q, bound, v_max)
         failed = 0
         ps = enumerate_partitions(q, admissible_only=True)
@@ -365,9 +340,9 @@ def cmd_factorize(cfg: RunConfig) -> int:
         rep.summary(status, f"{len(ps) - failed}/{len(ps)} admissible partitions verified",
                     verified=len(ps) - failed, total=len(ps))
         return 0 if not failed else 1
-    if cfg.partition_spec is None:
+    if args.partition is None:
         raise QuiverDtError("factorize needs --partition or --all-partitions")
-    p = _parse_partition(q, cfg.partition_spec)
+    p = _parse_partition(q, args.partition)
     report = verify_factorization(q, p, bound, v_max)
     _report_factorization(rep, report)
     status = "PASS" if report.passed else "FAIL"
@@ -376,25 +351,23 @@ def cmd_factorize(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _series_rows(q, p, gamma, cfg):
-    if cfg.series_spec is not None:
-        return [_parse_series(q, p, cfg.series_spec)]
-    return kostant_series(q, p, gamma, cap=cfg.cap)
+def _series_rows(q, p, gamma, args: argparse.Namespace):
+    if args.series is not None:
+        return [_parse_series(q, p, args.series)]
+    return kostant_series(q, p, gamma, cap=args.cap)
 
 
-def cmd_codim(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
-    if cfg.partition_spec is None or cfg.gamma_spec is None:
+def cmd_codim(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
+    if args.partition is None or args.gamma is None:
         raise QuiverDtError("codim needs --partition and --gamma")
-    p = _parse_partition(q, cfg.partition_spec)
-    gamma = _parse_gamma(q, cfg.gamma_spec)
-    from .ordering import reineke_inner_order
-
+    p = _parse_partition(q, args.partition)
+    gamma = _parse_gamma(q, args.gamma)
     for j, block in enumerate(p.induced):
         roots = ", ".join(str(r) for r in reineke_inner_order(block))
         rep.text(f"block {j + 1} {{{','.join(p.blocks[j])}}} inner root order: {roots}")
-    rows = _series_rows(q, p, gamma, cfg)
+    rows = _series_rows(q, p, gamma, args)
     for m in rows:
         report = codim_of_stratum(q, p, m, gamma)
         lists = inner_lists(m)
@@ -404,21 +377,21 @@ def cmd_codim(cfg: RunConfig) -> int:
             series=lists,
             codim=report.codim,
             sign_exponent_parity=report.sign_exponent_parity,
-            gamma=_dv(gamma),
+            gamma=gamma.as_dict(),
         )
     rep.summary("OK", f"{len(rows)} strata of gamma={gamma}", strata=len(rows))
     return 0
 
 
-def cmd_betti(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
-    if cfg.partition_spec is None or cfg.gamma_spec is None:
+def cmd_betti(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
+    if args.partition is None or args.gamma is None:
         raise QuiverDtError("betti needs --partition and --gamma")
-    p = _parse_partition(q, cfg.partition_spec)
-    gamma = _parse_gamma(q, cfg.gamma_spec)
-    v_max = 2 * cfg.q_order
-    verdict = betti_identity_check(q, p, gamma, v_max, cap=cfg.cap)
+    p = _parse_partition(q, args.partition)
+    gamma = _parse_gamma(q, args.gamma)
+    v_max = 2 * args.q_order
+    verdict = betti_identity_check(q, p, gamma, v_max, cap=args.cap)
     rep.text(f"lhs = product of P_k over gamma={gamma} entries")
     for term in verdict.terms:
         factors = " ".join(f"P_{x}" for x in term.factors) or "1"
@@ -427,8 +400,8 @@ def cmd_betti(cfg: RunConfig) -> int:
     rep.text(f"rhs: {verdict.rhs}")
     rep.row(
         type="betti",
-        gamma=_dv(gamma),
-        q_order=cfg.q_order,
+        gamma=gamma.as_dict(),
+        q_order=args.q_order,
         passed=verdict.equal,
         lhs=verdict.lhs.to_pairs(),
         rhs=verdict.rhs.to_pairs(),
@@ -438,21 +411,21 @@ def cmd_betti(cfg: RunConfig) -> int:
         ],
     )
     status = "PASS" if verdict.equal else "FAIL"
-    rep.summary(status, f"Betti identity with {len(verdict.terms)} terms at q-order {cfg.q_order}")
+    rep.summary(status, f"Betti identity with {len(verdict.terms)} terms at q-order {args.q_order}")
     return 0 if verdict.equal else 1
 
 
-def cmd_orbits(cfg: RunConfig) -> int:
-    rep = Reporter(cfg.out_format)
-    q = _load_quiver(cfg)
-    if cfg.partition_spec is None or cfg.gamma_spec is None:
+def cmd_orbits(args: argparse.Namespace) -> int:
+    rep = Reporter(args.format)
+    q = _load_quiver(args)
+    if args.partition is None or args.gamma is None:
         raise QuiverDtError("orbits needs --partition and --gamma")
-    p = _parse_partition(q, cfg.partition_spec)
-    gamma = _parse_gamma(q, cfg.gamma_spec)
-    rows = _series_rows(q, p, gamma, cfg)
+    p = _parse_partition(q, args.partition)
+    gamma = _parse_gamma(q, args.gamma)
+    rows = _series_rows(q, p, gamma, args)
     total = 0
     for m in rows:
-        orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=cfg.cap)
+        orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=args.cap)
         total += len(orbits)
         rep.text(f"m={inner_lists(m)}: {len(orbits)} orbits")
         for full in orbits:
@@ -462,7 +435,7 @@ def cmd_orbits(cfg: RunConfig) -> int:
             series=inner_lists(m),
             count=len(orbits),
             orbits=[
-                [{"root": _dv(r), "mult": x} for r, x in full.nonzero()]
+                [{"root": r.as_dict(), "mult": x} for r, x in full.nonzero()]
                 for full in orbits
             ],
         )
@@ -498,12 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumeration cap (default 10^6)")
         if partition:
             sp.add_argument("--partition",
-                            help="JSON array of vertex-name arrays, or a file path")
+                            help="JSON array of vertex-name arrays, or @path to a file "
+                                 "holding one")
         if gamma:
             sp.add_argument("--gamma", help='JSON object, e.g. \'{"1":2,"2":3}\'')
         if bound:
             sp.add_argument("--gamma-bound",
-                            help="integer or JSON object (default 2 per vertex)")
+                            help="integer or JSON object (default 2 per vertex); its box "
+                                 "of dimension vectors may hold at most --cap of them")
         if order:
             sp.add_argument("--q-order", type=_int_at_least(0), default=DEFAULT_Q_ORDER,
                             help="series truncation in powers of q (default 20)")
@@ -532,37 +507,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        quiver_path=args.quiver,
-        out_format=args.format,
-        cap=args.cap,
-        q_order=getattr(args, "q_order", DEFAULT_Q_ORDER),
-        partition_spec=getattr(args, "partition", None),
-        gamma_spec=getattr(args, "gamma", None),
-        gamma_bound_spec=getattr(args, "gamma_bound", None),
-        series_spec=getattr(args, "series", None),
-        all_partitions=getattr(args, "all_partitions", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    cfg = config_from_args(args)
-    rep = Reporter(cfg.out_format)
+    rep = Reporter(args.format)
     try:
-        return HANDLERS[cfg.command](cfg)
+        return HANDLERS[args.command](args)
     except Exception as e:
         internal = isinstance(e, InconsistencyError) or not isinstance(e, QuiverDtError)
         message = f"internal error: {type(e).__name__}: {e}" if internal else str(e)
         if internal:
             traceback.print_exc()
-        if cfg.out_format == "jsonl":
+        if args.format == "jsonl":
             rep.summary("ERROR", message)
         return _fail(message, 3 if internal else 2)
 

@@ -18,10 +18,6 @@ class UnknownVertexError(QuiverDtError):
     """A vertex name does not belong to the quiver."""
 
 
-class UnknownArrowError(QuiverDtError):
-    """An arrow name does not belong to the quiver."""
-
-
 class KeyMismatchError(QuiverDtError):
     """A dimension vector is keyed by the wrong vertex tuple."""
 
@@ -41,14 +37,11 @@ class NotConnectedError(QuiverDtError):
 class NotDynkinError(QuiverDtError):
     """A quiver required to be simply laced Dynkin is not.
 
-    ``kind`` is one of "loop", "multi-edge", "cycle", "branching";
-    ``loop_arrows`` names induced arrows that survive a spanning-tree
-    contraction as loops, when that diagnosis applies.
+    ``kind`` is one of "loop", "multi-edge", "cycle", "branching".
     """
 
-    def __init__(self, message: str, *, kind: str = "", loop_arrows: tuple[str, ...] = ()):
+    def __init__(self, message: str, *, kind: str = ""):
         self.kind = kind
-        self.loop_arrows = tuple(loop_arrows)
         super().__init__(message)
 
 
@@ -82,10 +75,6 @@ class EnumerationCapError(QuiverDtError):
 
 class TruncationMismatchError(QuiverDtError):
     """Operands carry different truncation data (order, bound, or quiver)."""
-
-
-class NonUnitSeriesError(QuiverDtError):
-    """Inverse requested of a series whose constant term is not +1 or -1."""
 
 
 class BoundExceededError(QuiverDtError):

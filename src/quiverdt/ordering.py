@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .dynkin import positive_roots
-from .errors import ConstraintCycleError, InvalidInputError, InvalidOrderError
+from .errors import ConstraintCycleError, InvalidOrderError
 from .partitions import SubquiverPartition, order_blocks
-from .quiver import DimVector, Quiver, skew_form, skew_form_restricted
+from .quiver import DimVector, Quiver, _kahn_order, skew_form
 
 
 class RootEntry(NamedTuple):
@@ -55,28 +54,14 @@ def reineke_inner_order(block: Quiver) -> tuple[DimVector, ...]:
     mean the block admits no valid order and is reported, not asserted
     away.
     """
-    rs = positive_roots(block)
-    roots = rs.roots
+    roots = positive_roots(block).roots
     n = len(roots)
-    indeg = [0] * n
     succ: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and skew_form(block, roots[i], roots[j]) < 0:
                 succ[j].append(i)
-                indeg[i] += 1
-    import heapq
-
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        i = heapq.heappop(heap)
-        out.append(i)
-        for k in succ[i]:
-            indeg[k] -= 1
-            if indeg[k] == 0:
-                heapq.heappush(heap, k)
+    out = _kahn_order(succ)
     if len(out) != n:
         remaining = [i for i in range(n) if i not in out]
         witness = _constraint_cycle(remaining, succ)
@@ -108,7 +93,7 @@ def admissible_total_order(q: Quiver, p: SubquiverPartition) -> RootOrder:
     for j in range(ordered.size):
         for root in reineke_inner_order(ordered.induced[j]):
             entries.append(RootEntry(root.embed(q.vertices), j))
-    return RootOrder(q, ordered, tuple(entries), provenance="constructed")
+    return RootOrder(q, ordered, tuple(entries))
 
 
 def expected_root_multiset(q: Quiver, p: SubquiverPartition) -> Counter:
@@ -121,18 +106,12 @@ def expected_root_multiset(q: Quiver, p: SubquiverPartition) -> Counter:
 
 
 def validate_order(
-    q: Quiver,
-    p: SubquiverPartition,
-    candidate: RootOrder | Sequence[RootEntry],
-    technical: bool = False,
+    q: Quiver, p: SubquiverPartition, candidate: RootOrder | Sequence[RootEntry]
 ) -> OrderVerdict:
     """Check the pairing rules on a candidate order for p.
 
     Rules: same block, u before v: skew(phi_u, phi_v) >= 0; different
-    blocks: skew(phi_u, phi_v) <= 0.  With technical=True the same-block
-    rule instead uses the block-internal arrows (must be >= 0) and the
-    complementary arrows (must be <= 0) separately; for partitions whose
-    blocks carry all induced arrows the two agree.
+    blocks: skew(phi_u, phi_v) <= 0.
 
     Raises InvalidOrderError when the candidate is not a permutation of
     the expected root multiset.
@@ -148,53 +127,14 @@ def validate_order(
             f"missing {[(str(e.root), e.block) for e in missing]}, "
             f"extra {[(str(e.root), e.block) for e in extra]}"
         )
-    block_arrows = [
-        {a.name for a in p.induced[j].arrows} for j in range(p.size)
-    ]
-    all_arrows = {a.name for a in q.arrows}
     for u in range(len(entries)):
         ru, ju = entries[u]
         for v in range(u + 1, len(entries)):
             rv, jv = entries[v]
-            if ju == jv:
-                if technical:
-                    inner = skew_form_restricted(q, block_arrows[ju], ru, rv)
-                    if inner < 0:
-                        return OrderVerdict(False, (u, v, "within-block", inner))
-                    outer = skew_form_restricted(q, all_arrows - block_arrows[ju], ru, rv)
-                    if outer > 0:
-                        return OrderVerdict(False, (u, v, "within-block-complement", outer))
-                else:
-                    val = skew_form(q, ru, rv)
-                    if val < 0:
-                        return OrderVerdict(False, (u, v, "within-block", val))
-            else:
-                val = skew_form(q, ru, rv)
-                if val > 0:
-                    return OrderVerdict(False, (u, v, "across-blocks", val))
+            val = skew_form(q, ru, rv)
+            if ju == jv and val < 0:
+                return OrderVerdict(False, (u, v, "within-block", val))
+            if ju != jv and val > 0:
+                return OrderVerdict(False, (u, v, "across-blocks", val))
     return OrderVerdict(True, None)
 
-
-def brute_force_valid_orders(
-    q: Quiver, p: SubquiverPartition, max_roots: int = 8
-) -> list[tuple[RootEntry, ...]]:
-    """Every permutation of the expected roots that passes validate_order.
-
-    Exhaustive search; guarded by a root-count limit since the cost is
-    factorial.  Meant for small counterexample hunts, not production use.
-    """
-    pool = list(expected_root_multiset(q, p).elements())
-    if len(pool) > max_roots:
-        raise InvalidInputError(
-            f"{len(pool)} roots exceed the brute-force limit of {max_roots}"
-        )
-    pool.sort(key=lambda e: (e.block, e.root.values))
-    found = []
-    seen: set[tuple[RootEntry, ...]] = set()
-    for perm in permutations(pool):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        if validate_order(q, p, perm).valid:
-            found.append(perm)
-    return found

@@ -13,7 +13,7 @@ the failure.  make_partition always rejects such blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -37,7 +37,6 @@ from .quiver import (
     Arrow,
     DimVector,
     Quiver,
-    _block_names,
     _check_keys,
     check_vertex_partition,
     induced_subquiver,
@@ -55,19 +54,10 @@ class SubquiverPartition:
     blocks: tuple[tuple[str, ...], ...]
     induced: tuple[Quiver, ...]
     types: tuple[DynkinType, ...]
-    _block_of: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_block_of", {v: j for j, b in enumerate(self.blocks) for v in b}
-        )
 
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, vertex: str) -> int:
-        return self._block_of[vertex]
 
     def block_index(self, members: Iterable[str]) -> int:
         """Index of the block with exactly these members."""
@@ -118,10 +108,15 @@ def _forest_contraction(
     """Contract blocks, absorbing a spanning forest of each block's
     induced arrows; internal arrows beyond the forest become loops.
 
-    For valid partitions every induced subquiver is a tree, no internal
-    arrow is left over, and this agrees with the plain contraction.
+    Each block becomes one vertex named by joining its members with "+"
+    (prefixed "B<j>:" if two such names collide).  Arrows between blocks
+    are kept with multiplicity, so the result may have parallel arrows or
+    two-cycles.  For valid partitions every induced subquiver is a tree
+    and no internal arrow is left over.
     """
-    names = _block_names(blocks)
+    names = ["+".join(b) for b in blocks]
+    if len(set(names)) != len(names):
+        names = [f"B{i}:{n}" for i, n in enumerate(names)]
     of = {v: names[j] for j, b in enumerate(blocks) for v in b}
     parent = {v: v for v in q.vertices}
 
@@ -184,7 +179,7 @@ def order_blocks(q: Quiver, p: SubquiverPartition) -> SubquiverPartition:
         order = topological_vertex_order(con)
     except CyclicQuiverError as e:
         raise NotAdmissibleError(e.witness) from None
-    perm = [names.index(name) for name in order.sequence]
+    perm = [names.index(name) for name in order]
     return SubquiverPartition(
         q,
         tuple(p.blocks[j] for j in perm),

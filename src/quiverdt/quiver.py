@@ -3,13 +3,14 @@
 A quiver is a finite directed multigraph with opaque string vertex names.
 This module provides parsing, dimension vectors, the Euler form and its
 skew-symmetrization, topological vertex orders, induced subquivers and
-contractions.  All arithmetic is exact integer arithmetic.
+underlying components.  All arithmetic is exact integer arithmetic.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -18,7 +19,6 @@ from .errors import (
     KeyMismatchError,
     NotAPartitionError,
     QuiverParseError,
-    UnknownArrowError,
     UnknownVertexError,
 )
 
@@ -149,12 +149,6 @@ class Quiver:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {vertex!r}") from None
 
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise UnknownArrowError(f"unknown arrow {name!r}")
-
     def vector(self, values: Mapping[str, int] | Iterable[int]) -> DimVector:
         if isinstance(values, Mapping):
             unknown = set(values) - set(self.vertices)
@@ -182,14 +176,6 @@ class Quiver:
         return deg
 
 
-@dataclass(frozen=True)
-class VertexOrder:
-    """A listing of all vertices with every arrow's head before its tail."""
-
-    quiver: Quiver
-    sequence: tuple[str, ...]
-
-
 def parse_quiver(text: str) -> Quiver:
     """Parse a quiver description.
 
@@ -199,8 +185,10 @@ def parse_quiver(text: str) -> Quiver:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal too long to convert
         raise QuiverParseError(f"malformed syntax: {e}") from None
+    except RecursionError:
+        raise QuiverParseError("malformed syntax: nested too deeply") from None
     if not isinstance(data, dict):
         raise QuiverParseError("top level must be an object")
     if "vertices" not in data:
@@ -273,34 +261,43 @@ def shortest_directed_cycle(q: Quiver) -> tuple[str, ...] | None:
     return best
 
 
-def topological_vertex_order(q: Quiver) -> VertexOrder:
+def _kahn_order(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm on nodes 0..n-1 with an edge i -> w for each w in succ[i].
+
+    Of the nodes ready at each step the smallest comes first.  Nodes on or
+    behind a cycle are never ready, so fewer than n nodes come back.
+    """
+    indeg = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    heap = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    out: list[int] = []
+    while heap:
+        i = heappop(heap)
+        out.append(i)
+        for w in succ[i]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heappush(heap, w)
+    return out
+
+
+def topological_vertex_order(q: Quiver) -> tuple[str, ...]:
     """Order vertices so every arrow's head precedes its tail.
 
     Ties are broken by input vertex order.  Raises CyclicQuiverError with
     a shortest directed cycle as witness when no such order exists.
     """
-    import heapq
-
-    indeg = dict.fromkeys(q.vertices, 0)
-    succ: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        succ[a.head].append(a.tail)
-        indeg[a.tail] += 1
-    heap = [q.index(v) for v in q.vertices if indeg[v] == 0]
-    heapq.heapify(heap)
-    out: list[str] = []
-    while heap:
-        v = q.vertices[heapq.heappop(heap)]
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, q.index(w))
+    succ: list[list[int]] = [[] for _ in q.vertices]
+    for t, h in q._arrow_pairs:
+        succ[h].append(t)
+    out = _kahn_order(succ)
     if len(out) != q.n:
         witness = shortest_directed_cycle(q)
         assert witness is not None
         raise CyclicQuiverError(witness)
-    return VertexOrder(q, tuple(out))
+    return tuple(q.vertices[i] for i in out)
 
 
 def euler_form(q: Quiver, g1: DimVector, g2: DimVector) -> int:
@@ -319,23 +316,6 @@ def skew_form(q: Quiver, g1: DimVector, g2: DimVector) -> int:
     _check_keys(q, g1)
     _check_keys(q, g2)
     return q.skew_values(g1.values, g2.values)
-
-
-def skew_form_restricted(q: Quiver, arrow_names: Iterable[str], g1: DimVector, g2: DimVector) -> int:
-    """Skew form counting only the named arrows."""
-    _check_keys(q, g1)
-    _check_keys(q, g2)
-    names = set(arrow_names)
-    known = {a.name for a in q.arrows}
-    unknown = names - known
-    if unknown:
-        raise UnknownArrowError(f"unknown arrows {sorted(unknown)}")
-    u, w = g1.values, g2.values
-    total = 0
-    for a, (t, h) in zip(q.arrows, q._arrow_pairs):
-        if a.name in names:
-            total += u[t] * w[h] - u[h] * w[t]
-    return total
 
 
 def induced_subquiver(q: Quiver, vertices: Iterable[str]) -> Quiver:
@@ -373,46 +353,33 @@ def check_vertex_partition(q: Quiver, blocks: Sequence[Iterable[str]]) -> tuple[
     return tuple(normalized)
 
 
-def contraction(q: Quiver, blocks: Sequence[Iterable[str]]) -> Quiver:
-    """Collapse each block to a single vertex, dropping arrows inside a block.
+def underlying_components(q: Quiver) -> list[list[int]]:
+    """Connected components of the underlying undirected graph, as vertex indices.
 
-    Arrows between distinct blocks are kept with multiplicity, so the result
-    may have parallel arrows or two-cycles; it is flagged as contraction
-    output (loops appear only via the spanning-tree diagnosis in the
-    partitions module, never here).
+    Components come in the input order of their first vertex.
     """
-    normalized = check_vertex_partition(q, blocks)
-    names = _block_names(normalized)
-    of = {v: names[i] for i, b in enumerate(normalized) for v in b}
-    arrows = tuple(
-        Arrow(a.name, of[a.tail], of[a.head]) for a in q.arrows if of[a.tail] != of[a.head]
-    )
-    return Quiver(tuple(names), arrows, is_contraction=True)
-
-
-def _block_names(blocks: tuple[tuple[str, ...], ...]) -> list[str]:
-    names = ["+".join(b) for b in blocks]
-    if len(set(names)) != len(names):
-        names = [f"B{i}:{n}" for i, n in enumerate(names)]
-    return names
+    adj: list[list[int]] = [[] for _ in q.vertices]
+    for t, h in q._arrow_pairs:
+        adj[t].append(h)
+        adj[h].append(t)
+    seen = [False] * len(adj)
+    comps = []
+    for start in range(len(adj)):
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for u in comp:  # grows while it is walked
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(comp)
+    return comps
 
 
 def underlying_connected(q: Quiver) -> bool:
     """True when the underlying undirected graph is connected and nonempty."""
-    if not q.vertices:
-        return False
-    adj: dict[str, set[str]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adj[a.tail].add(a.head)
-        adj[a.head].add(a.tail)
-    seen = {q.vertices[0]}
-    stack = [q.vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == q.n
+    return len(underlying_components(q)) == 1
 
 
 def _check_keys(q: Quiver, g: DimVector) -> None:

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .errors import (
-    InconsistencyError,
-    InvalidInputError,
-    NonUnitSeriesError,
-    TruncationMismatchError,
-)
+from .errors import InconsistencyError, InvalidInputError, TruncationMismatchError
 
 _INT = {int}
 # typecode of the signed machine word of each width in bits, narrowest first;
@@ -199,22 +194,6 @@ class VSeries:
         """Multiply by v^k."""
         return VSeries(self.v_max, self.min_exp + k, self.coeffs)
 
-    def unit_inverse(self) -> VSeries:
-        """Inverse of a series with constant term +1 or -1 and nothing below."""
-        if self.is_zero or self.min_exp != 0 or self.coeffs[0] not in (1, -1):
-            raise NonUnitSeriesError(
-                "inverse requires constant leading term +1 or -1, got "
-                + (self.__str__() if self.coeffs else "0")
-            )
-        lead = self.coeffs[0]
-        a = list(self.coeffs) + [0] * (self.v_max + 1 - len(self.coeffs))
-        b = [0] * (self.v_max + 1)
-        b[0] = lead
-        for k in range(1, self.v_max + 1):
-            s = sum(a[j] * b[k - j] for j in range(1, k + 1))
-            b[k] = -lead * s
-        return VSeries(self.v_max, 0, tuple(b))
-
     def to_pairs(self) -> list[list[int]]:
         """Nonzero [v_exponent, coefficient] pairs; the JSON wire form."""
         return [[e, c] for e, c in self.items()]
@@ -322,26 +301,15 @@ def poincare_series(k: int, v_max: int) -> VSeries:
     """P_k: the inverse of the product of (1 - q^j) for j = 1..k.
 
     P_0 is 1.  The coefficient of q^n is the number of partitions of n
-    into parts of size at most k.
+    into parts of size at most k.  P_k is P_(k-1) divided by 1 - q^k, that
+    is c[e] += c[e - 2k] in ascending v exponent e.
     """
     if k < 0:
         raise InvalidInputError(f"negative index {k}")
     if k == 0:
         return VSeries.one(v_max)
-    factor = VSeries.from_terms(v_max, {0: 1, 2 * k: -1})
-    return poincare_series(k - 1, v_max) * factor.unit_inverse()
-
-
-def partition_count(n: int, k: int) -> int:
-    """Number of integer partitions of n with parts of size at most k."""
-    if n < 0 or k < 0:
-        raise InvalidInputError("arguments must be non-negative")
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    table = [1] + [0] * n
-    for part in range(1, k + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table[n]
+    c = list(poincare_series(k - 1, v_max).coeffs)  # starts at v^0
+    c += [0] * (v_max + 1 - len(c))
+    for e in range(2 * k, v_max + 1):
+        c[e] += c[e - 2 * k]
+    return VSeries(v_max, 0, tuple(c))

@@ -106,8 +106,7 @@ def _simple_monomial_form(q: Quiver, values: tuple[int, ...]) -> tuple[int, int]
     if total == 0:
         return 1, 0
     sign = -1 if (total - 1) % 2 else 1
-    topo = topological_vertex_order(q).sequence
-    idx = [q.index(v) for v in topo]
+    idx = [q.index(v) for v in topological_vertex_order(q)]
     unit = [tuple(1 if k == i else 0 for k in range(q.n)) for i in range(q.n)]
     power = 0
     for a in range(len(idx)):
@@ -194,6 +193,13 @@ def _block_orbit_codim(block: Quiver, kp: KostantPartition) -> int:
     )
 
 
+def _block_codims(m: KostantSeries) -> tuple[int, ...]:
+    """Orbit stratum codimension of each block's Kostant partition in m."""
+    return tuple(
+        _block_orbit_codim(m.partition.induced[j], kp) for j, kp in enumerate(m.per_block)
+    )
+
+
 def codim_of_stratum(
     q: Quiver, p: SubquiverPartition, m: KostantSeries, gamma: DimVector
 ) -> CodimReport:
@@ -216,10 +222,7 @@ def codim_of_stratum(
             nf.v_power, gamma_sq, mult_sq, nf.sign, s_parity, f"stratum {m}"
         )
     else:
-        codim = sum(
-            _block_orbit_codim(m.partition.induced[j], kp)
-            for j, kp in enumerate(m.per_block)
-        )
+        codim = sum(_block_codims(m))
     return CodimReport(m, gamma, codim, s_parity % 2)
 
 
@@ -228,10 +231,7 @@ def codim_additivity_check(
 ) -> AdditivityVerdict:
     """Compare the stratum codimension with the sum over blocks."""
     total = codim_of_stratum(q, p, m, gamma).codim
-    blocks = tuple(
-        _block_orbit_codim(m.partition.induced[j], kp)
-        for j, kp in enumerate(m.per_block)
-    )
+    blocks = _block_codims(m)
     return AdditivityVerdict(total, blocks, total == sum(blocks))
 
 
@@ -256,10 +256,7 @@ def betti_identity_check(
     rhs = VSeries.zero(v_max)
     terms = []
     for m in kostant_series(q, p, gamma, cap=cap):
-        codim = sum(
-            _block_orbit_codim(m.partition.induced[j], kp)
-            for j, kp in enumerate(m.per_block)
-        )
+        codim = sum(_block_codims(m))
         factors = tuple(sorted(x for x in m.multiplicities() if x))
         prod = VSeries.one(v_max)
         for x in factors:

@@ -8,8 +8,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import permutations
 
-from quiverdt import Quiver, VSeries
+from quiverdt import (
+    InvalidInputError,
+    OrderVerdict,
+    Quiver,
+    VSeries,
+    expected_root_multiset,
+    validate_order,
+)
 from quiverdt.quiver import Arrow
 
 
@@ -272,3 +280,65 @@ def path_quiver(n: int, flips=()) -> Quiver:
             t, h = h, t
         arrows.append((f"a{i}", t, h))
     return build_quiver(names, arrows)
+
+
+def skew_form_restricted(q: Quiver, arrow_names, g1, g2) -> int:
+    """Skew form of two dimension vectors counting only the named arrows."""
+    names = set(arrow_names)
+    unknown = names - {a.name for a in q.arrows}
+    if unknown:
+        raise ValueError(f"unknown arrows {sorted(unknown)}")
+    return sum(
+        g1[a.tail] * g2[a.head] - g1[a.head] * g2[a.tail] for a in q.arrows if a.name in names
+    )
+
+
+def validate_order_technical(q: Quiver, p, entries) -> OrderVerdict:
+    """The pairing rules with the same-block rule split by arrows.
+
+    Same block, u before v: the block-internal arrows' skew form must be
+    >= 0 and the complementary arrows' <= 0; different blocks: the full
+    skew form must be <= 0.  For partitions whose blocks carry all induced
+    arrows this agrees with validate_order.
+    """
+    entries = tuple(getattr(entries, "entries", entries))
+    block_arrows = [{a.name for a in p.induced[j].arrows} for j in range(p.size)]
+    all_arrows = {a.name for a in q.arrows}
+    for u, (ru, ju) in enumerate(entries):
+        for v in range(u + 1, len(entries)):
+            rv, jv = entries[v]
+            if ju == jv:
+                inner = skew_form_restricted(q, block_arrows[ju], ru, rv)
+                if inner < 0:
+                    return OrderVerdict(False, (u, v, "within-block", inner))
+                outer = skew_form_restricted(q, all_arrows - block_arrows[ju], ru, rv)
+                if outer > 0:
+                    return OrderVerdict(False, (u, v, "within-block-complement", outer))
+            else:
+                val = skew_form_restricted(q, all_arrows, ru, rv)
+                if val > 0:
+                    return OrderVerdict(False, (u, v, "across-blocks", val))
+    return OrderVerdict(True, None)
+
+
+def brute_force_valid_orders(q: Quiver, p, max_roots: int = 8):
+    """Every permutation of the expected roots that passes validate_order.
+
+    Exhaustive search over the library's expected root multiset; guarded
+    by a root-count limit since the cost is factorial.
+    """
+    pool = list(expected_root_multiset(q, p).elements())
+    if len(pool) > max_roots:
+        raise InvalidInputError(
+            f"{len(pool)} roots exceed the brute-force limit of {max_roots}"
+        )
+    pool.sort(key=lambda e: (e.block, e.root.values))
+    found = []
+    seen: set = set()
+    for perm in permutations(pool):
+        if perm in seen:
+            continue
+        seen.add(perm)
+        if validate_order(q, p, perm).valid:
+            found.append(perm)
+    return found

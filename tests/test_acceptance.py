@@ -112,7 +112,7 @@ def test_criterion_4_atilde2_counterexamples(capsys, atilde2):
     loop = check_admissible(atilde2, [["1", "2", "3"]])
     if loop.admissible or loop.witness != ("1+2+3", "1+2+3"):
         problems.append(f"[1,2,3] verdict {loop}")
-    from quiverdt import brute_force_valid_orders
+    from oracles import brute_force_valid_orders
 
     if brute_force_valid_orders(atilde2, bad):
         problems.append("brute force found a valid order for the 2-cycle case")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -219,6 +220,14 @@ def test_missing_file_exits_2(capsys):
     assert not out
 
 
+def test_non_utf8_quiver_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "analyze", "--quiver", str(path))
+    assert code == 2 and not out
+    assert f"cannot read quiver file {path}" in err and "Traceback" not in err
+
+
 def test_malformed_gamma_exits_2(capsys, a3_path):
     code, _, err = run(capsys, "codim", "--quiver", a3_path,
                        "--partition", '[["1"],["2","3"]]', "--gamma", "[1,2]")
@@ -237,7 +246,7 @@ def test_partition_from_file(capsys, a3_path, tmp_path):
     spec = tmp_path / "p.json"
     spec.write_text('[["1"],["2","3"]]')
     code, out, _ = run(capsys, "factorize", "--quiver", a3_path,
-                       "--partition", str(spec))
+                       "--partition", "@" + str(spec))
     assert code == 0
     assert "PASS" in out
 
@@ -288,7 +297,7 @@ def test_out_of_range_flags_exit_2_naming_the_flag(capsys, a3_path, command, fla
 
 def test_q_order_zero_and_cap_one_are_accepted(capsys, quiver_dir):
     code, out, _ = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"),
-                       "--q-order", "0", "--cap", "1")
+                       "--q-order", "0", "--cap", "1", "--gamma-bound", "0")
     assert code == 0
     assert "y(0,0): 1" in out
 
@@ -315,3 +324,57 @@ def test_unexpected_exception_exits_3(capsys, quiver_dir, monkeypatch):
     code, _, err = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"))
     assert code == 3
     assert "error: internal error: KeyError: 'missing'" in err
+
+
+def test_nested_json_quiver_file_exits_2_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "analyze", "--quiver", str(path))
+    assert code == 2 and not out
+    assert f"error: quiver file {path}: malformed syntax: nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_nested_json_flag_exits_2_naming_the_flag(capsys, a3_path):
+    code, out, err = run(capsys, "codim", "--quiver", a3_path,
+                         "--partition", '[["1"],["2","3"]]', "--gamma", "[" * 100000)
+    assert code == 2 and not out
+    assert "error: argument --gamma: malformed JSON: nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_missing_partition_file_exits_2_naming_the_flag(capsys, a3_path, tmp_path):
+    code, out, err = run(capsys, "factorize", "--quiver", a3_path,
+                         "--partition", "@" + str(tmp_path / "absent.json"))
+    assert code == 2 and not out
+    assert "error: argument --partition: cannot read" in err
+    assert "Traceback" not in err
+
+
+def test_partition_file_named_like_the_value_is_not_read(capsys, a3_path, tmp_path,
+                                                       monkeypatch):
+    spec = '[["1"],["2","3"]]'
+    (tmp_path / spec).write_text('[["1","2","3"]]')
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "roots", "--quiver", a3_path, "--partition", spec)
+    assert code == 0
+    assert "blocks in contraction order: [1][2,3]" in out
+
+
+def test_bound_box_past_cap_exits_2_before_any_work(capsys, quiver_dir):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "dt", "--quiver", str(quiver_dir / "d4.json"),
+                         "--gamma-bound", "50")
+    assert time.perf_counter() - started < 0.5
+    assert code == 2 and not out
+    assert "error: argument --gamma-bound:" in err and "6765201" in err
+    assert "--cap 1000000" in err
+
+
+def test_bound_box_within_cap_is_accepted(capsys, quiver_dir):
+    code, _, err = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"),
+                       "--gamma-bound", '{"1": 2, "2": 3}', "--cap", "12", "--q-order", "2")
+    assert code == 0 and not err
+    code, _, err = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"),
+                       "--gamma-bound", '{"1": 2, "2": 3}', "--cap", "11", "--q-order", "2")
+    assert code == 2 and "holds 12 dimension vectors" in err

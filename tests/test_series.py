@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from quiverdt import NonUnitSeriesError, VSeries, partition_count, poincare_series
+from quiverdt import VSeries, poincare_series
 from quiverdt import series as series_mod
 from quiverdt.errors import InconsistencyError, InvalidInputError
 
@@ -160,39 +160,11 @@ def test_poincare_p2_floor_formula():
     assert all(p2.q_coefficient(n) == n // 2 + 1 for n in range(21))
 
 
-def test_partition_count_small_values():
-    assert partition_count(4, 2) == 3
-    assert partition_count(0, 5) == 1
-    assert all(partition_count(n, 0) == 0 for n in range(1, 6))
-
-
-def test_partition_count_matches_enumeration():
-    for n in range(0, 16):
-        for k in range(0, 6):
-            assert partition_count(n, k) == oracles.brute_partition_count(n, k)
-
-
 def test_poincare_coefficients_are_partition_counts():
     for k in range(0, 7):
         pk = poincare_series(k, 60)
         for n in range(31):
             assert pk.q_coefficient(n) == oracles.brute_partition_count(n, k)
-
-
-def test_unit_inverse_roundtrip():
-    s = series({0: 1, 1: 2, 4: -3})
-    assert s * s.unit_inverse() == VSeries.one(24)
-    neg = series({0: -1, 2: 1})
-    assert neg * neg.unit_inverse() == VSeries.one(24)
-
-
-def test_unit_inverse_rejects_non_unit():
-    with pytest.raises(NonUnitSeriesError):
-        series({1: 1}).unit_inverse()
-    with pytest.raises(NonUnitSeriesError):
-        series({0: 2}).unit_inverse()
-    with pytest.raises(NonUnitSeriesError):
-        VSeries.zero(8).unit_inverse()
 
 
 def test_coefficient_past_truncation_rejected():

@@ -81,7 +81,7 @@ def test_normal_form_invariant_under_block_permutation(a3, a4, d4, atilde2, rng)
 def test_normal_form_matches_every_literal_admissible_product(a3, a4, a3_source_mid):
     """Multiplying the factors literally, in any order that passes
     validation, lands on the same canonical (sign, v_power)."""
-    from quiverdt import brute_force_valid_orders
+    from oracles import brute_force_valid_orders
     from quiverdt.strata import _product_form, _simple_monomial_form
 
     interleaved = 0
