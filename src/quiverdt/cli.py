@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from math import prod
 from pathlib import Path
 
@@ -99,62 +100,75 @@ def _load_quiver(args: argparse.Namespace) -> Quiver:
         raise QuiverParseError(f"quiver file {args.quiver}: {e}") from None
 
 
-def _parse_json(spec: str, flag: str):
+@contextmanager
+def _argument(flag: str):
+    """Name the flag in every input error raised while building its value."""
+    try:
+        yield
+    except InconsistencyError:
+        raise
+    except QuiverDtError as e:
+        raise QuiverDtError(f"argument {flag}: {e}") from None
+
+
+def _parse_json(spec: str):
     try:
         return json.loads(spec)
     except ValueError as e:  # JSONDecodeError, or an integer literal too long to convert
-        raise QuiverDtError(f"argument {flag}: malformed JSON: {e}") from None
+        raise QuiverDtError(f"malformed JSON: {e}") from None
     except RecursionError:
-        raise QuiverDtError(f"argument {flag}: malformed JSON: nested too deeply") from None
+        raise QuiverDtError("malformed JSON: nested too deeply") from None
 
 
 def _parse_gamma(q: Quiver, spec: str) -> DimVector:
-    data = _parse_json(spec, "--gamma")
-    if not isinstance(data, dict):
-        raise QuiverDtError("gamma must be a JSON object mapping vertex to integer")
-    return q.vector({str(k): v for k, v in data.items()})
+    with _argument("--gamma"):
+        data = _parse_json(spec)
+        if not isinstance(data, dict):
+            raise QuiverDtError("gamma must be a JSON object mapping vertex to integer")
+        return q.vector({str(k): v for k, v in data.items()})
 
 
 def _parse_bound(q: Quiver, spec: str | None, cap: int) -> DimVector:
     """The support bound; its box of dimension vectors may hold at most cap of them."""
-    if spec is None:
-        bound = q.vector({v: DEFAULT_BOUND_ENTRY for v in q.vertices})
-    else:
-        data = _parse_json(spec, "--gamma-bound")
-        if isinstance(data, int) and not isinstance(data, bool):
-            bound = q.vector({v: data for v in q.vertices})
-        elif isinstance(data, dict):
-            bound = q.vector({str(k): v for k, v in data.items()})
+    with _argument("--gamma-bound"):
+        if spec is None:
+            bound = q.vector({v: DEFAULT_BOUND_ENTRY for v in q.vertices})
         else:
-            raise QuiverDtError("gamma bound must be an integer or a vertex-to-integer object")
-    box = prod(b + 1 for b in bound.values)
-    if box > cap:
-        raise QuiverDtError(
-            f"argument --gamma-bound: the box of {bound} holds {box} dimension vectors, "
-            f"more than --cap {cap}"
-        )
-    return bound
+            data = _parse_json(spec)
+            if isinstance(data, int) and not isinstance(data, bool):
+                bound = q.vector({v: data for v in q.vertices})
+            elif isinstance(data, dict):
+                bound = q.vector({str(k): v for k, v in data.items()})
+            else:
+                raise QuiverDtError("gamma bound must be an integer or a vertex-to-integer object")
+        box = prod(b + 1 for b in bound.values)
+        if box > cap:
+            raise QuiverDtError(
+                f"the box of {bound} holds {box} dimension vectors, more than --cap {cap}"
+            )
+        return bound
 
 
 def _parse_partition(q: Quiver, spec: str) -> SubquiverPartition:
     """A JSON array of blocks, or @path for a file holding one."""
-    if spec.startswith("@"):
-        try:
-            spec = Path(spec[1:]).read_text()
-        except (OSError, UnicodeError) as e:
-            raise QuiverDtError(f"argument --partition: cannot read {spec[1:]}: {e}") from None
-    data = _parse_json(spec, "--partition")
-    if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-        raise QuiverDtError("partition must be a JSON array of arrays of vertex names")
-    blocks = [[str(v) for v in b] for b in data]
-    return make_partition(q, blocks)
+    with _argument("--partition"):
+        if spec.startswith("@"):
+            try:
+                spec = Path(spec[1:]).read_text()
+            except (OSError, UnicodeError) as e:
+                raise QuiverDtError(f"cannot read {spec[1:]}: {e}") from None
+        data = _parse_json(spec)
+        if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
+            raise QuiverDtError("partition must be a JSON array of arrays of vertex names")
+        return make_partition(q, [[str(v) for v in b] for b in data])
 
 
 def _parse_series(q: Quiver, p: SubquiverPartition, spec: str):
-    data = _parse_json(spec, "--series")
-    if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-        raise QuiverDtError("series must be a JSON array of per-block multiplicity arrays")
-    return series_from_inner_lists(q, p, data)
+    with _argument("--series"):
+        data = _parse_json(spec)
+        if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
+            raise QuiverDtError("series must be a JSON array of per-block multiplicity arrays")
+        return series_from_inner_lists(q, p, data)
 
 
 def _partition_lists(p: SubquiverPartition) -> list[list[str]]:

@@ -200,7 +200,8 @@ def kostant_partitions(q: Quiver, gamma: DimVector, cap: int = DEFAULT_CAP) -> l
             return
         beta = roots[i]
         top = min(remaining[j] // beta[j] for j in range(len(beta)) if beta[j])
-        for m in range(top + 1):
+        # at the last root any multiplicity below top leaves a remainder
+        for m in range(top if i == len(roots) - 1 else 0, top + 1):
             prefix.append(m)
             rec(i + 1, [r - m * b for r, b in zip(remaining, beta)])
             prefix.pop()

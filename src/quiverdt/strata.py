@@ -5,7 +5,9 @@ basis elements.  Multiplying that product down to a single y_gamma and
 re-expressing it against the simple-root monomial in topological vertex
 order is pure integer bookkeeping (a sign and a v exponent); no series
 truncation is involved, so codimension extraction is exact at any scale.
-The complex codimension of the stratum of m solves
+One reduction and one solver give both the stratum's codimension and
+each block's orbit codimension.  The complex codimension of the stratum
+of m solves
 
     v_power = 2*codim + sum(gamma_i^2) - sum(m_u^2)
 
@@ -21,6 +23,7 @@ from .dynkin import KostantPartition, kostant_partitions, positive_roots
 from .errors import (
     InconsistencyError,
     InvalidInputError,
+    InvalidOrderError,
     KeyMismatchError,
     NotTypeAError,
 )
@@ -80,52 +83,44 @@ class BettiVerdict:
 
 
 def _product_form(q: Quiver, factors: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int, tuple[int, ...]]:
-    """Multiply basis monomials with multiplicities into sign * v^power * y_total."""
-    n = q.n
-    sign, power = 1, 0
-    current = (0,) * n
+    """Multiply basis monomials with multiplicities into sign * v^power * y_total.
+
+    Since skew(w, w) = 0, the k copies of y_w fold in at once: after a
+    nonzero prefix c they cost k merges and k * skew(c, w); after y_0 the
+    first copy is free and the other k - 1 merges add no v power.
+    """
+    merges, power = 0, 0
+    current = (0,) * q.n
     for values, mult in factors:
         if not any(values):
             raise InvalidInputError("zero vector among monomial factors")
-        for _ in range(mult):
-            if any(current):
-                sign = -sign
-                power += q.skew_values(current, values)
-            current = tuple(a + b for a, b in zip(current, values))
-    return sign, power, current
+        if not mult:
+            continue
+        if any(current):
+            merges += mult
+            power += mult * q.skew_values(current, values)
+        else:
+            merges += mult - 1
+        current = tuple(a + mult * b for a, b in zip(current, values))
+    return (-1 if merges % 2 else 1), power, current
 
 
 def _simple_monomial_form(q: Quiver, values: tuple[int, ...]) -> tuple[int, int]:
     """Sign and v exponent of the simple-root monomial for a value tuple.
 
-    The monomial multiplies gamma_i copies of each unit basis element in
-    topological vertex order; collapsing it to y_gamma costs one sign per
-    merge and a skew form summand per ordered pair, counted here directly.
+    The monomial multiplies values[i] copies of each unit basis element in
+    topological vertex order.
     """
-    total = sum(values)
-    if total == 0:
-        return 1, 0
-    sign = -1 if (total - 1) % 2 else 1
-    idx = [q.index(v) for v in topological_vertex_order(q)]
-    unit = [tuple(1 if k == i else 0 for k in range(q.n)) for i in range(q.n)]
-    power = 0
-    for a in range(len(idx)):
-        i = idx[a]
-        if not values[i]:
-            continue
-        for b in range(a + 1, len(idx)):
-            j = idx[b]
-            if values[j]:
-                power += values[i] * values[j] * q.skew_values(unit[i], unit[j])
+    units = [(q.unit(v).values, values[q.index(v)]) for v in topological_vertex_order(q)]
+    sign, power, _ = _product_form(q, units)
     return sign, power
 
 
-def _multiplicity(m: KostantSeries, p: SubquiverPartition, j: int, root: DimVector) -> int:
-    """Multiplicity in m of an embedded root belonging to block j of p."""
-    jm = m.partition.block_index(p.blocks[j])
-    kp = m.per_block[jm]
-    local = root.restrict(m.partition.blocks[jm])
-    return kp.multiplicities[kp.root_set.index(local)]
+def _normal_form(q: Quiver, factors: Sequence[tuple[tuple[int, ...], int]]) -> MonomialNormalForm:
+    """An ordered monomial as sign * v^v_power times its simple-root monomial."""
+    sign, power, total = _product_form(q, factors)
+    s_sign, s_power = _simple_monomial_form(q, total)
+    return MonomialNormalForm(sign * s_sign, power - s_power, DimVector(q.vertices, total))
 
 
 def monomial_normal_form(
@@ -143,61 +138,51 @@ def monomial_normal_form(
     """
     if {frozenset(b) for b in p.blocks} != {frozenset(b) for b in m.partition.blocks}:
         raise KeyMismatchError("Kostant series built on a different partition")
+    # block supports are disjoint, so an embedded root's values name it
+    mults = {root.values: k for _, _, root, k in m.entries()}
     ordered = order_blocks(q, p)
-    per_block: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for root, j in order.entries:
-        mult = _multiplicity(m, order.partition, j, root)
-        if mult:
-            key = ordered.block_index(order.partition.blocks[j])
-            per_block.setdefault(key, []).append((root.values, mult))
-    factors = [f for j in sorted(per_block) for f in per_block[j]]
-    sign, power, total = _product_form(q, factors)
-    s_sign, s_power = _simple_monomial_form(q, total)
-    return MonomialNormalForm(
-        sign * s_sign, power - s_power, DimVector(q.vertices, total)
-    )
+    rank = [ordered.block_index(b) for b in order.partition.blocks]
+    factors = []
+    # a stable sort: each block keeps the order's inner sequence
+    for root, _ in sorted(order.entries, key=lambda e: rank[e.block]):
+        k = mults.get(root.values)
+        if k is None:
+            raise InvalidOrderError(f"order root {root} is not a root of the series' blocks")
+        factors.append((root.values, k))
+    return _normal_form(q, factors)
 
 
-def _solve_codim(v_power: int, gamma_sq: int, mult_sq: int, sign: int, s_parity: int, context: str) -> int:
-    numerator = v_power - gamma_sq + mult_sq
+def _sign_parity(kps: Sequence[KostantPartition]) -> int:
+    """Parity of the sum of m_u * (height_u - 1) over the roots of kps."""
+    return sum(k * (r.height - 1) for kp in kps for r, k in kp.nonzero()) % 2
+
+
+def _solve_codim(nf: MonomialNormalForm, kps: Sequence[KostantPartition], context: str) -> int:
+    """Codimension of the stratum of kps, whose ordered root monomial reduces to nf."""
+    mult_sq = sum(k * k for kp in kps for k in kp.multiplicities)
+    numerator = nf.v_power - sum(x * x for x in nf.gamma.values) + mult_sq
     if numerator % 2 or numerator < 0:
         raise InconsistencyError(
-            f"{context}: v exponent {v_power} gives codimension {numerator}/2"
+            f"{context}: v exponent {nf.v_power} gives codimension {numerator}/2"
         )
-    expected_sign = -1 if s_parity % 2 else 1
-    if sign != expected_sign:
+    s_parity = _sign_parity(kps)
+    if nf.sign != (-1 if s_parity else 1):
         raise InconsistencyError(
-            f"{context}: sign {sign} contradicts multiplicity parity {s_parity % 2}"
+            f"{context}: sign {nf.sign} contradicts multiplicity parity {s_parity}"
         )
     return numerator // 2
 
 
-def _block_orbit_codim(block: Quiver, kp: KostantPartition) -> int:
-    """Codimension of one block's orbit stratum (single-block case)."""
-    inner = reineke_inner_order(block)
-    pos = {r: i for i, r in enumerate(kp.root_set.roots)}
-    factors = []
-    s_parity = 0
-    for root in inner:
-        mult = kp.multiplicities[pos[root]]
-        if mult:
-            factors.append((root.values, mult))
-            s_parity += mult * (root.height - 1)
-    sign, power, total = _product_form(block, factors)
-    s_sign, s_power = _simple_monomial_form(block, total)
-    gamma_sq = sum(x * x for x in total)
-    mult_sq = sum(m * m for m in kp.multiplicities)
-    return _solve_codim(
-        power - s_power, gamma_sq, mult_sq, sign * s_sign, s_parity,
-        f"block {block.vertices}",
-    )
+def _block_codims(m: KostantSeries, inners: Sequence[Sequence[DimVector]]) -> tuple[int, ...]:
+    """Orbit stratum codimension of each block's Kostant partition in m.
 
-
-def _block_codims(m: KostantSeries) -> tuple[int, ...]:
-    """Orbit stratum codimension of each block's Kostant partition in m."""
-    return tuple(
-        _block_orbit_codim(m.partition.induced[j], kp) for j, kp in enumerate(m.per_block)
-    )
+    inners holds the inner root order of each block of m's partition.
+    """
+    out = []
+    for block, kp, inner in zip(m.partition.induced, m.per_block, inners):
+        factors = [(r.values, kp.multiplicities[kp.root_set.index(r)]) for r in inner]
+        out.append(_solve_codim(_normal_form(block, factors), (kp,), f"block {block.vertices}"))
+    return tuple(out)
 
 
 def codim_of_stratum(
@@ -212,18 +197,12 @@ def codim_of_stratum(
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
-    s_parity = sum(mult * (root.height - 1) for _, root, _, mult in m.entries())
     if check_admissible(q, p).admissible:
-        order = admissible_total_order(q, p)
-        nf = monomial_normal_form(q, p, order, m)
-        gamma_sq = sum(x * x for x in gamma.values)
-        mult_sq = sum(x * x for x in m.multiplicities())
-        codim = _solve_codim(
-            nf.v_power, gamma_sq, mult_sq, nf.sign, s_parity, f"stratum {m}"
-        )
+        nf = monomial_normal_form(q, p, admissible_total_order(q, p), m)
+        codim = _solve_codim(nf, m.per_block, f"stratum {m}")
     else:
-        codim = sum(_block_codims(m))
-    return CodimReport(m, gamma, codim, s_parity % 2)
+        codim = sum(_block_codims(m, [reineke_inner_order(b) for b in m.partition.induced]))
+    return CodimReport(m, gamma, codim, _sign_parity(m.per_block))
 
 
 def codim_additivity_check(
@@ -231,7 +210,7 @@ def codim_additivity_check(
 ) -> AdditivityVerdict:
     """Compare the stratum codimension with the sum over blocks."""
     total = codim_of_stratum(q, p, m, gamma).codim
-    blocks = _block_codims(m)
+    blocks = _block_codims(m, [reineke_inner_order(b) for b in m.partition.induced])
     return AdditivityVerdict(total, blocks, total == sum(blocks))
 
 
@@ -255,8 +234,9 @@ def betti_identity_check(
         lhs = lhs * poincare_series(x, v_max)
     rhs = VSeries.zero(v_max)
     terms = []
+    inners = [reineke_inner_order(b) for b in p.induced]
     for m in kostant_series(q, p, gamma, cap=cap):
-        codim = sum(_block_codims(m))
+        codim = sum(_block_codims(m, inners))
         factors = tuple(sorted(x for x in m.multiplicities() if x))
         prod = VSeries.one(v_max)
         for x in factors:
@@ -304,8 +284,7 @@ def inner_lists(m: KostantSeries) -> list[list[int]]:
     out = []
     for j, kp in enumerate(m.per_block):
         inner = reineke_inner_order(m.partition.induced[j])
-        pos = {r: i for i, r in enumerate(kp.root_set.roots)}
-        out.append([kp.multiplicities[pos[r]] for r in inner])
+        out.append([kp.multiplicities[kp.root_set.index(r)] for r in inner])
     return out
 
 

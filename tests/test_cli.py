@@ -378,3 +378,43 @@ def test_bound_box_within_cap_is_accepted(capsys, quiver_dir):
     code, _, err = run(capsys, "dt", "--quiver", str(quiver_dir / "a2.json"),
                        "--gamma-bound", '{"1": 2, "2": 3}', "--cap", "11", "--q-order", "2")
     assert code == 2 and "holds 12 dimension vectors" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gamma", '{"1":-1,"2":0,"3":0}'),
+    ("--gamma", '{"9":1}'),
+    ("--gamma", '{"1":1.5}'),
+    ("--gamma", "[1,2]"),
+    ("--gamma-bound", '{"1":-1}'),
+    ("--gamma-bound", '{"9":1}'),
+    ("--gamma-bound", '"2"'),
+    ("--gamma-bound", "[1,2]"),
+    ("--series", "[[2],[1,1,-1]]"),
+    ("--series", "[[2]]"),
+    ("--series", '[[2],[1,1,"x"]]'),
+    ("--series", '{"1":[2]}'),
+    ("--partition", '[["1"],["2","9"]]'),
+    ("--partition", '[["1","3"],["2"]]'),
+])
+def test_bad_flag_value_exits_2_naming_the_flag(capsys, a3_path, flag, value):
+    command = "dt" if flag == "--gamma-bound" else "codim"
+    argv = [command, "--quiver", a3_path, flag, value]
+    if command == "codim":
+        for other, good in (("--partition", '[["1"],["2","3"]]'),
+                            ("--gamma", '{"1":2,"2":3,"3":2}')):
+            if flag != other:
+                argv += [other, good]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: argument {flag}: ") and "Traceback" not in err
+
+
+def test_codim_of_one_huge_entry_is_fast(capsys, quiver_dir):
+    """The last root's multiplicity is forced and copies fold in closed form."""
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "codim", "--quiver", str(quiver_dir / "a2.json"),
+                       "--partition", '[["1"],["2"]]',
+                       "--gamma", '{"1":3000000,"2":0}', "--cap", "5")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert "m=[[3000000], [0]]  codim=0  sign_parity=0" in out

@@ -10,6 +10,7 @@ import oracles
 from quiverdt import (
     InconsistencyError,
     InvalidInputError,
+    InvalidOrderError,
     NotTypeAError,
     admissible_total_order,
     betti_identity_check,
@@ -56,6 +57,15 @@ def test_normal_form_worked_case(a3):
     nf = monomial_normal_form(a3, p, order, m)
     assert (nf.sign, nf.v_power) == (-1, 11)
     assert nf.gamma == a3.vector([2, 3, 2])
+
+
+def test_normal_form_rejects_an_order_root_outside_the_series(a3):
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    order = admissible_total_order(a3, p)
+    m = series_from_inner_lists(a3, p, [[2], [1, 1, 2]])
+    bad = (order.entries[0]._replace(root=a3.vector([1, 1, 1])),) + order.entries[1:]
+    with pytest.raises(InvalidOrderError):
+        monomial_normal_form(a3, p, type(order)(a3, order.partition, bad), m)
 
 
 def test_normal_form_invariant_under_block_permutation(a3, a4, d4, atilde2, rng):
@@ -109,6 +119,24 @@ def test_normal_form_matches_every_literal_admissible_product(a3, a4, a3_source_
                     if [e.block for e in entries] != sorted(e.block for e in entries):
                         interleaved += 1
     assert interleaved > 100
+
+
+def test_product_form_matches_copy_by_copy_fold(rng):
+    """The closed form for k copies of a factor against folding them in one by one."""
+    from quiverdt.strata import _product_form
+
+    leading_powers = 0
+    for _ in range(300):
+        q = oracles.random_acyclic_quiver(rng)
+        pool = [g for g in (oracles.random_dim_vector(rng, q, top=2) for _ in range(3))
+                if not g.is_zero] or [q.unit(q.vertices[0])]
+        factors = [(rng.choice(pool), rng.randint(0, 6)) for _ in range(rng.randint(1, 5))]
+        first = next((k for _, k in factors if k), 0)
+        leading_powers += first > 1
+        sign, power, total = _product_form(q, [(g.values, k) for g, k in factors])
+        want = oracles.monomial_product_form(q, [g for g, k in factors for _ in range(k)])
+        assert (sign, power, total) == (want[0], want[1], want[2].values)
+    assert leading_powers > 100
 
 
 def test_codim_a2_whole_gamma22(a2):
@@ -201,6 +229,21 @@ def test_betti_a2_whole_frozen(a2):
     assert v.lhs == p2 * p2
     got = {(t.codim, t.factors) for t in v.terms}
     assert got == {(0, (2,)), (1, (1, 1, 1)), (4, (2, 2))}
+
+
+def test_betti_computes_inner_orders_once_per_block(a3, monkeypatch):
+    import quiverdt.strata as strata
+
+    calls = []
+    real = strata.reineke_inner_order
+    monkeypatch.setattr(strata, "reineke_inner_order",
+                        lambda block: calls.append(block) or real(block))
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    for g in ([2, 3, 2], [3, 4, 3]):
+        calls.clear()
+        v = betti_identity_check(a3, p, a3.vector(g), 30)
+        assert v.equal and len(v.terms) >= 3
+        assert calls == list(p.induced)
 
 
 def test_betti_zero_gamma(a2):
