@@ -98,12 +98,6 @@ class QuantumElement:
     def support(self) -> list[DimVector]:
         return sorted(self.terms, key=lambda g: (g.height, g.values))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        lines = [f"({self.coefficient(g)}) * y{g}" for g in self.support()]
-        return "\n".join(lines)
-
 
 def _element(
     q: Quiver, bound: DimVector, v_max: int, terms: dict[DimVector, VSeries]

@@ -71,11 +71,6 @@ class Reporter:
             print(f"{status}: {message}")
 
 
-def _fail(message: str, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
@@ -163,14 +158,6 @@ def _parse_partition(q: Quiver, spec: str) -> SubquiverPartition:
         return make_partition(q, [[str(v) for v in b] for b in data])
 
 
-def _parse_series(q: Quiver, p: SubquiverPartition, spec: str):
-    with _argument("--series"):
-        data = _parse_json(spec)
-        if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
-            raise QuiverDtError("series must be a JSON array of per-block multiplicity arrays")
-        return series_from_inner_lists(q, p, data)
-
-
 def _partition_lists(p: SubquiverPartition) -> list[list[str]]:
     return [list(b) for b in p.blocks]
 
@@ -179,8 +166,7 @@ def _order_rows(order) -> list[dict]:
     return [{"root": e.root.as_dict(), "block": e.block} for e in order.entries]
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     units = [q.unit(v) for v in q.vertices]
     chi = [[euler_form(q, a, b) for b in units] for a in units]
@@ -241,8 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_partitions(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+def cmd_partitions(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     found = enumerate_partitions(q)
     admissible = 0
@@ -270,8 +255,7 @@ def cmd_partitions(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_roots(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+def cmd_roots(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     if args.partition is None:
         rs = positive_roots(q)
@@ -293,12 +277,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-def _element_rows(el) -> list[dict]:
-    return [{"gamma": g.as_dict(), "series": el.coefficient(g).to_pairs()} for g in el.support()]
-
-
-def cmd_dt(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+def cmd_dt(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     bound = _parse_bound(q, args.gamma_bound, args.cap)
     v_max = 2 * args.q_order
@@ -306,8 +285,7 @@ def cmd_dt(args: argparse.Namespace) -> int:
     rep.text(f"combinatorial DT invariant, support bound {bound}, q-order {args.q_order}")
     for g in el.support():
         rep.text(f"y{g}: {el.coefficient(g)}")
-    for row in _element_rows(el):
-        rep.row(type="dt-term", **row)
+        rep.row(type="dt-term", gamma=g.as_dict(), series=el.coefficient(g).to_pairs())
     rep.summary("OK", f"{len(el.terms)} terms within bound {bound}",
                 terms=len(el.terms), bound=bound.as_dict(), q_order=args.q_order)
     return 0
@@ -337,51 +315,56 @@ def _report_factorization(rep: Reporter, report) -> None:
     )
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+def cmd_factorize(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     bound = _parse_bound(q, args.gamma_bound, args.cap)
-    v_max = 2 * args.q_order
     if args.all_partitions:
-        reference = trivial_dt(q, bound, v_max)
-        failed = 0
         ps = enumerate_partitions(q, admissible_only=True)
-        for p in ps:
-            report = verify_factorization(q, p, bound, v_max, reference=reference)
-            _report_factorization(rep, report)
-            failed += not report.passed
-        status = "PASS" if not failed else "FAIL"
+    elif args.partition is not None:
+        ps = [_parse_partition(q, args.partition)]
+    else:
+        raise QuiverDtError("factorize needs --partition or --all-partitions")
+    v_max = 2 * args.q_order
+    reference = trivial_dt(q, bound, v_max)
+    failed = 0
+    for p in ps:
+        report = verify_factorization(q, p, bound, v_max, reference=reference)
+        _report_factorization(rep, report)
+        failed += not report.passed
+    status = "FAIL" if failed else "PASS"
+    if args.all_partitions:
         rep.summary(status, f"{len(ps) - failed}/{len(ps)} admissible partitions verified",
                     verified=len(ps) - failed, total=len(ps))
-        return 0 if not failed else 1
-    if args.partition is None:
-        raise QuiverDtError("factorize needs --partition or --all-partitions")
-    p = _parse_partition(q, args.partition)
-    report = verify_factorization(q, p, bound, v_max)
-    _report_factorization(rep, report)
-    status = "PASS" if report.passed else "FAIL"
-    rep.summary(status, f"factorization for {report.partition} "
-                        f"{'matches' if report.passed else 'differs from'} the DT product")
-    return 0 if report.passed else 1
+    else:
+        rep.summary(status, f"factorization for {report.partition} "
+                            f"{'differs from' if failed else 'matches'} the DT product")
+    return 1 if failed else 0
 
 
-def _series_rows(q, p, gamma, args: argparse.Namespace):
-    if args.series is not None:
-        return [_parse_series(q, p, args.series)]
-    return kostant_series(q, p, gamma, cap=args.cap)
-
-
-def cmd_codim(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
+def _strata_inputs(args: argparse.Namespace):
+    """Quiver, partition, gamma and the --series value (None if absent) of a
+    strata command, all parsed before the command prints anything."""
     q = _load_quiver(args)
-    if args.partition is None or args.gamma is None:
-        raise QuiverDtError("codim needs --partition and --gamma")
     p = _parse_partition(q, args.partition)
     gamma = _parse_gamma(q, args.gamma)
+    if getattr(args, "series", None) is None:  # betti takes no --series
+        return q, p, gamma, None
+    with _argument("--series"):
+        data = _parse_json(args.series)
+        if not isinstance(data, list) or not all(isinstance(b, list) for b in data):
+            raise QuiverDtError("series must be a JSON array of per-block multiplicity arrays")
+        m = series_from_inner_lists(q, p, data)
+        if m.gamma() != gamma:
+            raise QuiverDtError(f"series sums to {m.gamma()}, not {gamma}")
+    return q, p, gamma, m
+
+
+def cmd_codim(args: argparse.Namespace, rep: Reporter) -> int:
+    q, p, gamma, given = _strata_inputs(args)
+    rows = kostant_series(q, p, gamma, cap=args.cap) if given is None else [given]
     for j, block in enumerate(p.induced):
         roots = ", ".join(str(r) for r in reineke_inner_order(block))
         rep.text(f"block {j + 1} {{{','.join(p.blocks[j])}}} inner root order: {roots}")
-    rows = _series_rows(q, p, gamma, args)
     for m in rows:
         report = codim_of_stratum(q, p, m, gamma)
         lists = inner_lists(m)
@@ -397,19 +380,14 @@ def cmd_codim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_betti(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
-    q = _load_quiver(args)
-    if args.partition is None or args.gamma is None:
-        raise QuiverDtError("betti needs --partition and --gamma")
-    p = _parse_partition(q, args.partition)
-    gamma = _parse_gamma(q, args.gamma)
-    v_max = 2 * args.q_order
-    verdict = betti_identity_check(q, p, gamma, v_max, cap=args.cap)
+def cmd_betti(args: argparse.Namespace, rep: Reporter) -> int:
+    q, p, gamma, _ = _strata_inputs(args)
+    verdict = betti_identity_check(q, p, gamma, 2 * args.q_order, cap=args.cap)
+    lists = [inner_lists(term.series) for term in verdict.terms]
     rep.text(f"lhs = product of P_k over gamma={gamma} entries")
-    for term in verdict.terms:
+    for term, m in zip(verdict.terms, lists):
         factors = " ".join(f"P_{x}" for x in term.factors) or "1"
-        rep.text(f"  + q^{term.codim} * {factors}   (m={inner_lists(term.series)})")
+        rep.text(f"  + q^{term.codim} * {factors}   (m={m})")
     rep.text(f"lhs: {verdict.lhs}")
     rep.text(f"rhs: {verdict.rhs}")
     rep.row(
@@ -420,8 +398,8 @@ def cmd_betti(args: argparse.Namespace) -> int:
         lhs=verdict.lhs.to_pairs(),
         rhs=verdict.rhs.to_pairs(),
         terms=[
-            {"series": inner_lists(t.series), "codim": t.codim, "factors": list(t.factors)}
-            for t in verdict.terms
+            {"series": m, "codim": t.codim, "factors": list(t.factors)}
+            for t, m in zip(verdict.terms, lists)
         ],
     )
     status = "PASS" if verdict.equal else "FAIL"
@@ -429,24 +407,20 @@ def cmd_betti(args: argparse.Namespace) -> int:
     return 0 if verdict.equal else 1
 
 
-def cmd_orbits(args: argparse.Namespace) -> int:
-    rep = Reporter(args.format)
-    q = _load_quiver(args)
-    if args.partition is None or args.gamma is None:
-        raise QuiverDtError("orbits needs --partition and --gamma")
-    p = _parse_partition(q, args.partition)
-    gamma = _parse_gamma(q, args.gamma)
-    rows = _series_rows(q, p, gamma, args)
+def cmd_orbits(args: argparse.Namespace, rep: Reporter) -> int:
+    q, p, gamma, given = _strata_inputs(args)
+    rows = kostant_series(q, p, gamma, cap=args.cap) if given is None else [given]
     total = 0
     for m in rows:
         orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=args.cap)
         total += len(orbits)
-        rep.text(f"m={inner_lists(m)}: {len(orbits)} orbits")
+        lists = inner_lists(m)
+        rep.text(f"m={lists}: {len(orbits)} orbits")
         for full in orbits:
             rep.text("   " + str(full))
         rep.row(
             type="orbits",
-            series=inner_lists(m),
+            series=lists,
             count=len(orbits),
             orbits=[
                 [{"root": r.as_dict(), "mult": x} for r, x in full.nonzero()]
@@ -457,15 +431,38 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return 0
 
 
-HANDLERS = {
-    "analyze": cmd_analyze,
-    "partitions": cmd_partitions,
-    "roots": cmd_roots,
-    "dt": cmd_dt,
-    "factorize": cmd_factorize,
-    "codim": cmd_codim,
-    "betti": cmd_betti,
-    "orbits": cmd_orbits,
+FLAGS = {
+    "--quiver": dict(help="path to a quiver JSON file"),
+    "--format": dict(choices=("text", "jsonl"), default="text"),
+    "--cap": dict(type=_int_at_least(1), default=DEFAULT_CAP,
+                  help="enumeration cap (default 10^6)"),
+    "--partition": dict(help="JSON array of vertex-name arrays, or @path to a file "
+                             "holding one"),
+    "--gamma": dict(help='JSON object, e.g. \'{"1":2,"2":3}\''),
+    "--gamma-bound": dict(help="integer or JSON object (default 2 per vertex); its box "
+                               "of dimension vectors may hold at most --cap of them"),
+    "--q-order": dict(type=_int_at_least(0), default=DEFAULT_Q_ORDER,
+                      help="series truncation in powers of q (default 20)"),
+    "--series": dict(help="JSON array of per-block multiplicity arrays "
+                          "in inner root order"),
+    "--all-partitions": dict(action="store_true",
+                             help="run over every admissible partition"),
+}
+
+STRATUM = ("--partition", "--gamma")
+
+# name: (handler, help, optional flags, required flags); every command
+# also requires --quiver and takes --format and --cap
+COMMANDS = {
+    "analyze": (cmd_analyze, "acyclicity, forms, Dynkin classification", (), ()),
+    "partitions": (cmd_partitions, "enumerate Dynkin subquiver partitions", (), ()),
+    "roots": (cmd_roots, "positive roots, or a partition's root order", ("--partition",), ()),
+    "dt": (cmd_dt, "trivial dilogarithm product", ("--gamma-bound", "--q-order"), ()),
+    "factorize": (cmd_factorize, "verify factorization identities",
+                  ("--partition", "--gamma-bound", "--q-order", "--all-partitions"), ()),
+    "codim": (cmd_codim, "stratum codimensions", ("--series",), STRATUM),
+    "betti": (cmd_betti, "Betti series identity", ("--q-order",), STRATUM),
+    "orbits": (cmd_orbits, "orbit decomposition of strata (type A)", ("--series",), STRATUM),
 }
 
 
@@ -476,48 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "dilogarithm factorization checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, partition=False, gamma=False, bound=False, order=False,
-               series=False, allp=False):
-        sp.add_argument("--quiver", required=True, help="path to a quiver JSON file")
-        sp.add_argument("--format", choices=("text", "jsonl"), default="text")
-        sp.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CAP,
-                        help="enumeration cap (default 10^6)")
-        if partition:
-            sp.add_argument("--partition",
-                            help="JSON array of vertex-name arrays, or @path to a file "
-                                 "holding one")
-        if gamma:
-            sp.add_argument("--gamma", help='JSON object, e.g. \'{"1":2,"2":3}\'')
-        if bound:
-            sp.add_argument("--gamma-bound",
-                            help="integer or JSON object (default 2 per vertex); its box "
-                                 "of dimension vectors may hold at most --cap of them")
-        if order:
-            sp.add_argument("--q-order", type=_int_at_least(0), default=DEFAULT_Q_ORDER,
-                            help="series truncation in powers of q (default 20)")
-        if series:
-            sp.add_argument("--series",
-                            help="JSON array of per-block multiplicity arrays "
-                                 "in inner root order")
-        if allp:
-            sp.add_argument("--all-partitions", action="store_true",
-                            help="run over every admissible partition")
-
-    common(sub.add_parser("analyze", help="acyclicity, forms, Dynkin classification"))
-    common(sub.add_parser("partitions", help="enumerate Dynkin subquiver partitions"))
-    common(sub.add_parser("roots", help="positive roots, or a partition's root order"),
-           partition=True)
-    common(sub.add_parser("dt", help="trivial dilogarithm product"),
-           bound=True, order=True)
-    common(sub.add_parser("factorize", help="verify factorization identities"),
-           partition=True, bound=True, order=True, allp=True)
-    common(sub.add_parser("codim", help="stratum codimensions"),
-           partition=True, gamma=True, series=True)
-    common(sub.add_parser("betti", help="Betti series identity"),
-           partition=True, gamma=True, order=True)
-    common(sub.add_parser("orbits", help="orbit decomposition of strata (type A)"),
-           partition=True, gamma=True, series=True)
+    for name, (_, help_, optional, required) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag in ("--quiver", "--format", "--cap", *required, *optional):
+            sp.add_argument(flag, required=flag in ("--quiver", *required), **FLAGS[flag])
     return parser
 
 
@@ -529,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 2
     rep = Reporter(args.format)
     try:
-        return HANDLERS[args.command](args)
+        return COMMANDS[args.command][0](args, rep)
     except Exception as e:
         internal = isinstance(e, InconsistencyError) or not isinstance(e, QuiverDtError)
         message = f"internal error: {type(e).__name__}: {e}" if internal else str(e)
@@ -537,7 +496,8 @@ def main(argv: list[str] | None = None) -> int:
             traceback.print_exc()
         if args.format == "jsonl":
             rep.summary("ERROR", message)
-        return _fail(message, 3 if internal else 2)
+        print(f"error: {message}", file=sys.stderr)
+        return 3 if internal else 2
 
 
 if __name__ == "__main__":

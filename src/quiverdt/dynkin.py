@@ -9,6 +9,7 @@ root_order module.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -71,7 +72,7 @@ def classify_dynkin(q: Quiver) -> DynkinType | NotDynkin:
     n = q.n
     if len(q.arrows) != n - 1:
         return NotDynkin("cycle", "underlying graph contains a cycle")
-    deg = q.underlying_degrees()
+    deg = Counter(v for a in q.arrows for v in (a.tail, a.head))
     for v in q.vertices:
         if deg[v] > 3:
             return NotDynkin("branching", f"vertex {v!r} has degree {deg[v]}")
@@ -115,9 +116,6 @@ class RootSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_pos", {r: i for i, r in enumerate(self.roots)})
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
     def index(self, root: DimVector) -> int:
         try:
@@ -179,11 +177,15 @@ def kostant_partitions(q: Quiver, gamma: DimVector, cap: int = DEFAULT_CAP) -> l
 
     Enumeration is exhaustive and duplicate-free: multiplicities are chosen
     root by root in library order, so the output is ordered lexicographically
-    by multiplicity tuple.  Raises EnumerationCapError past the cap.
+    by multiplicity tuple.  A root's multiplicity starts where the later
+    roots, each at its largest fitting multiplicity, can still cover the
+    remainder, so no branch without an output is walked past a root.
+    Raises EnumerationCapError past the cap.
     """
     _check_keys(q, gamma)
     rs = positive_roots(q)
     roots = [r.values for r in rs.roots]
+    supports = [[v for v, x in enumerate(beta) if x] for beta in roots]
     out: list[KostantPartition] = []
     prefix: list[int] = []
 
@@ -196,12 +198,19 @@ def kostant_partitions(q: Quiver, gamma: DimVector, cap: int = DEFAULT_CAP) -> l
                     f"more than {cap} Kostant partitions for gamma={gamma}"
                 )
             return
-        if i == len(roots):
-            return
+        # the most the later roots can cover at each vertex, each at its own top
+        reach = [0] * len(remaining)
+        for beta, supp in zip(roots[i + 1:], supports[i + 1:]):
+            top = min(remaining[v] // beta[v] for v in supp)
+            for v in supp:
+                reach[v] += top * beta[v]
+        # at the last root reach is zero: each multiplicity in range leaves nothing over
         beta = roots[i]
-        top = min(remaining[j] // beta[j] for j in range(len(beta)) if beta[j])
-        # at the last root any multiplicity below top leaves a remainder
-        for m in range(top if i == len(roots) - 1 else 0, top + 1):
+        if any(remaining[v] > reach[v] for v in range(len(beta)) if not beta[v]):
+            return
+        top = min(remaining[v] // beta[v] for v in supports[i])
+        low = max(0, *(-((reach[v] - remaining[v]) // beta[v]) for v in supports[i]))
+        for m in range(low, top + 1):
             prefix.append(m)
             rec(i + 1, [r - m * b for r, b in zip(remaining, beta)])
             prefix.pop()

@@ -204,12 +204,12 @@ def enumerate_partitions(q: Quiver, admissible_only: bool = False) -> list[Subqu
         found = []
         for mask in range(1 << len(rest)):
             subset = (pivot,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-            sub = induced_subquiver(q, [q.vertices[i] for i in subset])
-            if not underlying_connected(sub):
+            try:
+                shape = classify_dynkin(induced_subquiver(q, [q.vertices[i] for i in subset]))
+            except NotConnectedError:
                 continue
-            if isinstance(classify_dynkin(sub), NotDynkin):
-                continue
-            found.append(subset)
+            if not isinstance(shape, NotDynkin):
+                found.append(subset)
         found.sort(key=lambda s: (len(s), s))
         return found
 

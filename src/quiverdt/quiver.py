@@ -168,13 +168,6 @@ class Quiver:
         """Skew form on raw value tuples aligned with self.vertices."""
         return sum(u[t] * w[h] - u[h] * w[t] for t, h in self._arrow_pairs)
 
-    def underlying_degrees(self) -> dict[str, int]:
-        deg = dict.fromkeys(self.vertices, 0)
-        for a in self.arrows:
-            deg[a.tail] += 1
-            deg[a.head] += 1
-        return deg
-
 
 def parse_quiver(text: str) -> Quiver:
     """Parse a quiver description.

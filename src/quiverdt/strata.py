@@ -13,18 +13,30 @@ of m solves
 
 and the sign must equal (-1) to the power sum(m_u * (height_u - 1)).
 Both are checked and any failure is raised as an internal inconsistency.
+
+Orbit decompositions of strata are implemented for type A only: there
+every root is an interval, so its restriction to a block is a root of
+that block or zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dynkin import KostantPartition, kostant_partitions, positive_roots
+from .dynkin import (
+    DynkinType,
+    KostantPartition,
+    classify_dynkin,
+    kostant_partitions,
+    positive_roots,
+)
 from .errors import (
     InconsistencyError,
     InvalidInputError,
     InvalidOrderError,
     KeyMismatchError,
+    NotAdmissibleError,
+    NotConnectedError,
     NotTypeAError,
 )
 from .ordering import RootOrder, admissible_total_order, reineke_inner_order
@@ -32,7 +44,6 @@ from .partitions import (
     DEFAULT_CAP,
     KostantSeries,
     SubquiverPartition,
-    check_admissible,
     kostant_series,
     order_blocks,
 )
@@ -197,11 +208,12 @@ def codim_of_stratum(
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
-    if check_admissible(q, p).admissible:
-        nf = monomial_normal_form(q, p, admissible_total_order(q, p), m)
-        codim = _solve_codim(nf, m.per_block, f"stratum {m}")
-    else:
+    try:
+        order = admissible_total_order(q, p)
+    except NotAdmissibleError:
         codim = sum(_block_codims(m, [reineke_inner_order(b) for b in m.partition.induced]))
+    else:
+        codim = _solve_codim(monomial_normal_form(q, p, order, m), m.per_block, f"stratum {m}")
     return CodimReport(m, gamma, codim, _sign_parity(m.per_block))
 
 
@@ -288,31 +300,6 @@ def inner_lists(m: KostantSeries) -> list[list[int]]:
     return out
 
 
-def _path_positions(q: Quiver) -> dict[str, int]:
-    """Linear positions of vertices when the underlying graph is a path."""
-    deg = q.underlying_degrees()
-    if any(d > 2 for d in deg.values()):
-        raise NotTypeAError("underlying graph branches")
-    if q.n == 1:
-        return {q.vertices[0]: 0}
-    ends = [v for v in q.vertices if deg[v] <= 1]
-    if len(ends) != 2 or len(q.arrows) != q.n - 1:
-        raise NotTypeAError("underlying graph is not a path")
-    adj: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        adj[a.tail].append(a.head)
-        adj[a.head].append(a.tail)
-    pos = {ends[0]: 0}
-    prev, cur = None, ends[0]
-    for i in range(1, q.n):
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            raise NotTypeAError("underlying graph is not a path")
-        prev, cur = cur, nxt[0]
-        pos[cur] = i
-    return pos
-
-
 def stratum_orbit_decomposition(
     q: Quiver,
     p: SubquiverPartition,
@@ -323,41 +310,28 @@ def stratum_orbit_decomposition(
     """Orbits of the whole quiver whose block restrictions reproduce m.
 
     Implemented for type A only, where every root is an interval: a full
-    Kostant partition restricts to each block by intersecting intervals,
-    and the stratum of m is the union of the matching full orbits.
+    Kostant partition restricts to each block (a sub-interval) root by
+    root, dropping zero restrictions, and the stratum of m is the union of
+    the matching full orbits.  Raises NotTypeAError for any other quiver,
+    a disconnected one included.
     """
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
-    pos = _path_positions(q)
-    by_pos = sorted(q.vertices, key=lambda v: pos[v])
-    spans = {}
-    for j, block in enumerate(m.partition.blocks):
-        ps = sorted(pos[v] for v in block)
-        spans[j] = (ps[0], ps[-1])
-
-    def interval(root: DimVector) -> tuple[int, int]:
-        hit = [pos[v] for v in root.support]
-        return (min(hit), max(hit))
-
+    try:
+        shape = classify_dynkin(q)
+    except NotConnectedError:
+        shape = "not connected"
+    if not (isinstance(shape, DynkinType) and shape.family == "A"):
+        raise NotTypeAError(f"orbit decomposition needs type A; the quiver is {shape}")
     matches = []
     for full in kostant_partitions(q, gamma, cap=cap):
-        induced: dict[int, dict[DimVector, int]] = {j: {} for j in spans}
+        induced: list[dict[DimVector, int]] = [{} for _ in m.per_block]
         for root, mult in full.nonzero():
-            lo, hi = interval(root)
-            for j, (blo, bhi) in spans.items():
-                cut_lo, cut_hi = max(lo, blo), min(hi, bhi)
-                if cut_lo > cut_hi:
-                    continue
-                members = [by_pos[i] for i in range(cut_lo, cut_hi + 1)]
-                local = DimVector(
-                    m.partition.blocks[j],
-                    tuple(1 if v in members else 0 for v in m.partition.blocks[j]),
-                )
-                induced[j][local] = induced[j].get(local, 0) + mult
-        if all(
-            induced[j] == dict(m.per_block[j].nonzero())
-            for j in range(m.partition.size)
-        ):
+            for j, block in enumerate(m.partition.blocks):
+                local = root.restrict(block)
+                if not local.is_zero:
+                    induced[j][local] = induced[j].get(local, 0) + mult
+        if all(got == dict(kp.nonzero()) for got, kp in zip(induced, m.per_block)):
             matches.append(full)
     return matches

@@ -418,3 +418,57 @@ def test_codim_of_one_huge_entry_is_fast(capsys, quiver_dir):
     assert time.perf_counter() - started < 1.0
     assert code == 0
     assert "m=[[3000000], [0]]  codim=0  sign_parity=0" in out
+
+
+def test_codim_of_one_huge_entry_in_one_block_is_fast(capsys, quiver_dir):
+    """Each root's multiplicity starts where the later roots can still cover the rest."""
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "codim", "--quiver", str(quiver_dir / "a2.json"),
+                       "--partition", '[["1","2"]]',
+                       "--gamma", '{"1":3000000,"2":0}', "--cap", "5")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert "m=[[0, 0, 3000000]]  codim=0  sign_parity=0" in out
+
+
+@pytest.mark.parametrize("command", ["codim", "orbits"])
+@pytest.mark.parametrize("series", ["[[2]]", "[[2],[1,1,-1]]", "[[1],[1,1,2]]"])
+def test_bad_series_leaves_stdout_empty(capsys, a3_path, command, series):
+    argv = [command, "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
+            "--gamma", '{"1":2,"2":3,"3":2}', "--series", series]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: argument --series: ")
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    assert code == 2
+    assert [r["status"] for r in jsonl_rows(out)] == ["ERROR"]
+
+
+@pytest.mark.parametrize("command", ["codim", "betti", "orbits"])
+@pytest.mark.parametrize("given, missing", [
+    ({"--gamma": '{"1":2,"2":3,"3":2}'}, "--partition"),
+    ({"--partition": '[["1"],["2","3"]]'}, "--gamma"),
+    ({}, "--partition, --gamma"),
+])
+def test_strata_commands_require_partition_and_gamma(capsys, a3_path, command, given, missing):
+    argv = [command, "--quiver", a3_path, "--format", "jsonl"]
+    for flag, value in given.items():
+        argv += [flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.rstrip().endswith(f"the following arguments are required: {missing}")
+
+
+def test_betti_example_shares_inner_lists_between_outputs(capsys, a3_path, monkeypatch):
+    """README example: 2 inner orders for the check, then 2 per term for 3 terms."""
+    from quiverdt import ordering, strata
+
+    calls = []
+    real = ordering.reineke_inner_order
+    for module in (cli, ordering, strata):
+        monkeypatch.setattr(module, "reineke_inner_order",
+                            lambda block: calls.append(block) or real(block))
+    code, out, _ = run(capsys, "betti", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
+                       "--gamma", '{"1":2,"2":3,"3":2}')
+    assert code == 0 and out.count("  + q^") == 3
+    assert len(calls) <= 8

@@ -215,3 +215,13 @@ def test_kostant_cap(d4):
 def test_kostant_partition_str_multiplicity(a2):
     parts = kostant_partitions(a2, a2.vector([2, 2]))
     assert str(parts[0]) == "2x(1,1)"
+
+
+def test_kostant_matches_brute_force_on_lopsided_gammas(a4, d4, rng):
+    """Zero and large entries side by side, where the per-root lower bound prunes most."""
+    for q in (a4, d4):
+        roots = [r.values for r in positive_roots(q).roots]
+        for _ in range(12):
+            g = q.vector([rng.choice((0, 0, 1, 5)) for _ in q.vertices])
+            got = [tuple(p.multiplicities) for p in kostant_partitions(q, g)]
+            assert got == sorted(oracles.brute_kostant(roots, g.values))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import random
 
 import pytest
@@ -343,3 +344,20 @@ def test_orbit_decomposition_rejects_non_type_a(d4):
         with pytest.raises(NotTypeAError):
             stratum_orbit_decomposition(d4, p, m, g)
         break
+
+
+@pytest.mark.parametrize("name, blocks, shape", [
+    ("atilde2", [["1"], ["2"], ["3"]], "not Dynkin (cycle)"),
+    ("kronecker", [["1"], ["2"]], "not Dynkin (multi-edge)"),
+    ("two_paths", [["1", "2"], ["3", "4"]], "not connected"),
+])
+def test_orbit_decomposition_rejects_every_non_path(request, name, blocks, shape):
+    if name == "two_paths":
+        q = oracles.build_quiver(["1", "2", "3", "4"], [("a", "2", "1"), ("b", "4", "3")])
+    else:
+        q = request.getfixturevalue(name)
+    p = make_partition(q, blocks)
+    g = q.vector({v: 1 for v in q.vertices})
+    m = kostant_series(q, p, g)[0]
+    with pytest.raises(NotTypeAError, match=rf"needs type A; the quiver is {re.escape(shape)}"):
+        stratum_orbit_decomposition(q, p, m, g)
