@@ -4,6 +4,8 @@ A subquiver partition splits the vertex set into blocks whose induced
 subquivers are connected and simply laced Dynkin.  Blocks carry all
 induced arrows.  A partition is admissible when its contraction (one
 vertex per block, cross-block arrows kept) has no directed cycle.
+check_admissible and order_blocks share one topological sort of the
+contraction, which gives the block order or a cycle witness.
 
 check_admissible also accepts raw blocks whose induced subquiver fails
 to be Dynkin because of parallel arrows or an undirected cycle: those
@@ -40,7 +42,6 @@ from .quiver import (
     _check_keys,
     check_vertex_partition,
     induced_subquiver,
-    shortest_directed_cycle,
     topological_vertex_order,
     underlying_connected,
 )
@@ -77,8 +78,8 @@ class AdmissibilityVerdict:
 
     witness is a closed directed walk in the contraction (block names,
     start repeated; a loop repeats one name).  ordered reports whether
-    the blocks as listed already put every cross-block arrow's head
-    block before its tail block.
+    the contraction order is the blocks' listed order, that is whether
+    every cross-block arrow's head block is already listed first.
     """
 
     admissible: bool
@@ -102,9 +103,7 @@ def make_partition(q: Quiver, blocks: Sequence[Iterable[str]]) -> SubquiverParti
     return SubquiverPartition(q, normalized, tuple(induced), tuple(types))
 
 
-def _forest_contraction(
-    q: Quiver, blocks: tuple[tuple[str, ...], ...]
-) -> tuple[Quiver, list[str]]:
+def _forest_contraction(q: Quiver, blocks: tuple[tuple[str, ...], ...]) -> Quiver:
     """Contract blocks, absorbing a spanning forest of each block's
     induced arrows; internal arrows beyond the forest become loops.
 
@@ -128,15 +127,23 @@ def _forest_contraction(
 
     kept: list[Arrow] = []
     for a in q.arrows:
-        if of[a.tail] != of[a.head]:
-            kept.append(Arrow(a.name, of[a.tail], of[a.head]))
-            continue
-        rt, rh = find(a.tail), find(a.head)
-        if rt != rh:
-            parent[rt] = rh
-        else:
-            kept.append(Arrow(a.name, of[a.tail], of[a.head]))
-    return Quiver(tuple(names), tuple(kept), is_contraction=True), names
+        if of[a.tail] == of[a.head]:
+            rt, rh = find(a.tail), find(a.head)
+            if rt != rh:
+                parent[rt] = rh
+                continue
+        kept.append(Arrow(a.name, of[a.tail], of[a.head]))
+    return Quiver(tuple(names), tuple(kept), is_contraction=True)
+
+
+def _contraction_order(q: Quiver, blocks: tuple[tuple[str, ...], ...]) -> list[int]:
+    """Block indices in contraction order (ties as given), or NotAdmissibleError."""
+    con = _forest_contraction(q, blocks)
+    try:
+        order = topological_vertex_order(con)
+    except CyclicQuiverError as e:
+        raise NotAdmissibleError(e.witness) from None
+    return [con.index(name) for name in order]
 
 
 def check_admissible(
@@ -159,13 +166,11 @@ def check_admissible(
             ct = classify_dynkin(sub)
             if isinstance(ct, NotDynkin) and ct.kind == "branching":
                 raise NotDynkinError(f"block {{{','.join(block)}}} is {ct}", kind=ct.kind)
-    con, names = _forest_contraction(q, blocks)
-    witness = shortest_directed_cycle(con)
-    if witness is not None:
-        return AdmissibilityVerdict(False, witness, False)
-    pos = {name: j for j, name in enumerate(names)}
-    ordered = all(pos[a.head] < pos[a.tail] for a in con.arrows)
-    return AdmissibilityVerdict(True, None, ordered)
+    try:
+        perm = _contraction_order(q, blocks)
+    except NotAdmissibleError as e:
+        return AdmissibilityVerdict(False, e.witness, False)
+    return AdmissibilityVerdict(True, None, perm == sorted(perm))
 
 
 def order_blocks(q: Quiver, p: SubquiverPartition) -> SubquiverPartition:
@@ -174,12 +179,7 @@ def order_blocks(q: Quiver, p: SubquiverPartition) -> SubquiverPartition:
     Ties keep the current block order.  Raises NotAdmissibleError with a
     cycle witness when no such order exists.
     """
-    con, names = _forest_contraction(q, p.blocks)
-    try:
-        order = topological_vertex_order(con)
-    except CyclicQuiverError as e:
-        raise NotAdmissibleError(e.witness) from None
-    perm = [names.index(name) for name in order]
+    perm = _contraction_order(q, p.blocks)
     return SubquiverPartition(
         q,
         tuple(p.blocks[j] for j in perm),

@@ -5,9 +5,10 @@ basis elements.  Multiplying that product down to a single y_gamma and
 re-expressing it against the simple-root monomial in topological vertex
 order is pure integer bookkeeping (a sign and a v exponent); no series
 truncation is involved, so codimension extraction is exact at any scale.
-One reduction and one solver give both the stratum's codimension and
-each block's orbit codimension.  The complex codimension of the stratum
-of m solves
+Each block's (root, multiplicity) list in its inner order is built once
+per call.  One reduction and one solver turn it into the block's orbit
+codimension, and the block lists concatenated in contraction order into
+the stratum's.  The complex codimension of the stratum of m solves
 
     v_power = 2*codim + sum(gamma_i^2) - sum(m_u^2)
 
@@ -39,7 +40,7 @@ from .errors import (
     NotConnectedError,
     NotTypeAError,
 )
-from .ordering import RootOrder, admissible_total_order, reineke_inner_order
+from .ordering import RootOrder, reineke_inner_order
 from .partitions import (
     DEFAULT_CAP,
     KostantSeries,
@@ -49,6 +50,10 @@ from .partitions import (
 )
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
 from .series import VSeries, poincare_series
+
+
+# a block's (root, multiplicity) pairs, in the block's inner order
+BlockList = list[tuple[DimVector, int]]
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,7 @@ class CodimReport:
     gamma: DimVector
     codim: int
     sign_exponent_parity: int
+    block_codims: tuple[int, ...]  # orbit codimensions, in the series' block order
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,28 @@ def _normal_form(q: Quiver, factors: Sequence[tuple[tuple[int, ...], int]]) -> M
     return MonomialNormalForm(sign * s_sign, power - s_power, DimVector(q.vertices, total))
 
 
+def _block_lists(m: KostantSeries, inners: Sequence[Sequence[DimVector]]) -> list[BlockList]:
+    """Each block's (root, multiplicity) pairs, ordered as inners gives its roots."""
+    return [
+        [(r, kp.multiplicities[kp.root_set.index(r)]) for r in inner]
+        for kp, inner in zip(m.per_block, inners)
+    ]
+
+
+def _stratum_form(
+    q: Quiver, p: SubquiverPartition, m: KostantSeries, lists: Sequence[BlockList]
+) -> MonomialNormalForm:
+    """Normal form of m's block lists embedded and concatenated in p's contraction
+    order; p may list m's blocks in another order.  Raises NotAdmissibleError."""
+    if {frozenset(b) for b in p.blocks} != {frozenset(b) for b in m.partition.blocks}:
+        raise KeyMismatchError("Kostant series built on a different partition")
+    return _normal_form(q, [
+        (r.embed(q.vertices).values, k)
+        for block in order_blocks(q, p).blocks
+        for r, k in lists[m.partition.block_index(block)]
+    ])
+
+
 def monomial_normal_form(
     q: Quiver, p: SubquiverPartition, order: RootOrder, m: KostantSeries
 ) -> MonomialNormalForm:
@@ -147,20 +175,15 @@ def monomial_normal_form(
     block orders matter; they must be valid.  Raises NotAdmissibleError
     when the partition admits no heads-first block arrangement.
     """
-    if {frozenset(b) for b in p.blocks} != {frozenset(b) for b in m.partition.blocks}:
-        raise KeyMismatchError("Kostant series built on a different partition")
-    # block supports are disjoint, so an embedded root's values name it
-    mults = {root.values: k for _, _, root, k in m.entries()}
-    ordered = order_blocks(q, p)
-    rank = [ordered.block_index(b) for b in order.partition.blocks]
-    factors = []
-    # a stable sort: each block keeps the order's inner sequence
-    for root, _ in sorted(order.entries, key=lambda e: rank[e.block]):
-        k = mults.get(root.values)
-        if k is None:
+    # block supports are disjoint, so an embedded root's values name its block
+    where = {root.values: (j, r) for j, r, root, _ in m.entries()}
+    inners: list[list[DimVector]] = [[] for _ in m.per_block]
+    for root, _ in order.entries:
+        if root.values not in where:
             raise InvalidOrderError(f"order root {root} is not a root of the series' blocks")
-        factors.append((root.values, k))
-    return _normal_form(q, factors)
+        j, r = where[root.values]
+        inners[j].append(r)
+    return _stratum_form(q, p, m, _block_lists(m, inners))
 
 
 def _sign_parity(kps: Sequence[KostantPartition]) -> int:
@@ -184,16 +207,12 @@ def _solve_codim(nf: MonomialNormalForm, kps: Sequence[KostantPartition], contex
     return numerator // 2
 
 
-def _block_codims(m: KostantSeries, inners: Sequence[Sequence[DimVector]]) -> tuple[int, ...]:
-    """Orbit stratum codimension of each block's Kostant partition in m.
-
-    inners holds the inner root order of each block of m's partition.
-    """
-    out = []
-    for block, kp, inner in zip(m.partition.induced, m.per_block, inners):
-        factors = [(r.values, kp.multiplicities[kp.root_set.index(r)]) for r in inner]
-        out.append(_solve_codim(_normal_form(block, factors), (kp,), f"block {block.vertices}"))
-    return tuple(out)
+def _block_codims(m: KostantSeries, lists: Sequence[BlockList]) -> tuple[int, ...]:
+    """Orbit stratum codimension of each block's Kostant partition in m."""
+    return tuple(
+        _solve_codim(_normal_form(b, [(r.values, k) for r, k in lst]), (kp,), f"block {b.vertices}")
+        for b, kp, lst in zip(m.partition.induced, m.per_block, lists)
+    )
 
 
 def codim_of_stratum(
@@ -208,22 +227,21 @@ def codim_of_stratum(
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
+    lists = _block_lists(m, [reineke_inner_order(b) for b in m.partition.induced])
+    blocks = _block_codims(m, lists)
     try:
-        order = admissible_total_order(q, p)
+        codim = _solve_codim(_stratum_form(q, p, m, lists), m.per_block, f"stratum {m}")
     except NotAdmissibleError:
-        codim = sum(_block_codims(m, [reineke_inner_order(b) for b in m.partition.induced]))
-    else:
-        codim = _solve_codim(monomial_normal_form(q, p, order, m), m.per_block, f"stratum {m}")
-    return CodimReport(m, gamma, codim, _sign_parity(m.per_block))
+        codim = sum(blocks)
+    return CodimReport(m, gamma, codim, _sign_parity(m.per_block), blocks)
 
 
 def codim_additivity_check(
     q: Quiver, p: SubquiverPartition, m: KostantSeries, gamma: DimVector
 ) -> AdditivityVerdict:
     """Compare the stratum codimension with the sum over blocks."""
-    total = codim_of_stratum(q, p, m, gamma).codim
-    blocks = _block_codims(m, [reineke_inner_order(b) for b in m.partition.induced])
-    return AdditivityVerdict(total, blocks, total == sum(blocks))
+    r = codim_of_stratum(q, p, m, gamma)
+    return AdditivityVerdict(r.codim, r.block_codims, r.codim == sum(r.block_codims))
 
 
 def betti_identity_check(
@@ -248,7 +266,7 @@ def betti_identity_check(
     terms = []
     inners = [reineke_inner_order(b) for b in p.induced]
     for m in kostant_series(q, p, gamma, cap=cap):
-        codim = sum(_block_codims(m, inners))
+        codim = sum(_block_codims(m, _block_lists(m, inners)))
         factors = tuple(sorted(x for x in m.multiplicities() if x))
         prod = VSeries.one(v_max)
         for x in factors:
@@ -293,11 +311,8 @@ def series_from_inner_lists(
 
 def inner_lists(m: KostantSeries) -> list[list[int]]:
     """Per-block multiplicities of m, indexed by each block's inner root order."""
-    out = []
-    for j, kp in enumerate(m.per_block):
-        inner = reineke_inner_order(m.partition.induced[j])
-        out.append([kp.multiplicities[kp.root_set.index(r)] for r in inner])
-    return out
+    lists = _block_lists(m, [reineke_inner_order(b) for b in m.partition.induced])
+    return [[k for _, k in lst] for lst in lists]
 
 
 def stratum_orbit_decomposition(

@@ -1,6 +1,8 @@
 """Dynkin subquiver partitions: construction, admissibility, Kostant series."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import oracles
@@ -122,6 +124,48 @@ def test_order_blocks_rejects_non_admissible(atilde2):
         order_blocks(atilde2, p)
 
 
+def test_check_admissible_agrees_with_order_blocks(a2, a2_rev, a3, a4, d4, atilde2, kronecker):
+    """Every partition, every listing of its blocks: one decision, one witness,
+    and ordered exactly when every cross-block arrow's head block is listed first."""
+    cases = 0
+    for q in (a2, a2_rev, a3, a4, d4, atilde2, kronecker):
+        for p in enumerate_partitions(q):
+            for perm in itertools.permutations(p.blocks):
+                listed = make_partition(q, perm)
+                verdict = check_admissible(q, listed)
+                try:
+                    ordered = order_blocks(q, listed)
+                except NotAdmissibleError as e:
+                    assert not verdict.admissible and not verdict.ordered
+                    assert verdict.witness == e.witness
+                else:
+                    assert verdict.admissible and verdict.witness is None
+                    assert verdict.ordered == (ordered.blocks == listed.blocks)
+                    at = {v: j for j, b in enumerate(listed.blocks) for v in b}
+                    heads_first = all(at[a.head] <= at[a.tail] for a in q.arrows)
+                    assert verdict.ordered == heads_first
+                cases += 1
+    assert cases > 100
+    raw = check_admissible(atilde2, [["1", "2", "3"]])
+    assert raw.witness == ("1+2+3", "1+2+3") and not raw.ordered
+
+
+def test_admissible_contraction_needs_no_cycle_scan(a4, d4, atilde2, monkeypatch):
+    """An acyclic contraction is decided by its topological sort alone."""
+    import quiverdt.partitions as partitions
+    import quiverdt.quiver as quiver
+
+    def scan(q):
+        raise AssertionError(f"cycle scan of an acyclic contraction {q.vertices}")
+
+    cases = [(q, p) for q in (a4, d4, atilde2) for p in enumerate_partitions(q, admissible_only=True)]
+    monkeypatch.setattr(quiver, "shortest_directed_cycle", scan)
+    # and any binding of it that partitions imports
+    monkeypatch.setattr(partitions, "shortest_directed_cycle", scan, raising=False)
+    for q, p in cases:
+        assert check_admissible(q, p).admissible
+
+
 def test_kostant_series_a3_worked_case(a3):
     p = make_partition(a3, [["1"], ["2", "3"]])
     series = kostant_series(a3, p, a3.vector([2, 3, 2]))
@@ -185,7 +229,7 @@ def test_witness_rewalks_as_contraction_cycle(atilde2):
     verdict = check_admissible(atilde2, bad)
     witness = verdict.witness
     assert witness[0] == witness[-1] and len(witness) >= 2
-    con, _ = _forest_contraction(atilde2, bad.blocks)
+    con = _forest_contraction(atilde2, bad.blocks)
     pairs = {(a.tail, a.head) for a in con.arrows}
     for tail, head in zip(witness, witness[1:]):
         assert (tail, head) in pairs

@@ -246,7 +246,7 @@ def test_induced_subquiver_full_kronecker(kronecker):
 
 
 def test_contraction_a3_two_blocks(a3):
-    c, _ = _forest_contraction(a3, (("1",), ("2", "3")))
+    c = _forest_contraction(a3, (("1",), ("2", "3")))
     assert c.n == 2
     assert len(c.arrows) == 1
     (a,) = c.arrows
@@ -254,12 +254,12 @@ def test_contraction_a3_two_blocks(a3):
 
 
 def test_contraction_atilde2_two_cycle(atilde2):
-    c, _ = _forest_contraction(atilde2, (("1", "3"), ("2",)))
+    c = _forest_contraction(atilde2, (("1", "3"), ("2",)))
     assert shortest_directed_cycle(c) is not None
 
 
 def test_contraction_singletons_identity(a3):
-    c, _ = _forest_contraction(a3, (("1",), ("2",), ("3",)))
+    c = _forest_contraction(a3, (("1",), ("2",), ("3",)))
     assert c.n == a3.n and len(c.arrows) == len(a3.arrows)
     assert shortest_directed_cycle(c) is None
 

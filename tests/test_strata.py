@@ -247,6 +247,62 @@ def test_betti_computes_inner_orders_once_per_block(a3, monkeypatch):
         assert calls == list(p.induced)
 
 
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every library call to ordering's or strata's
+    binding of name."""
+    import quiverdt.ordering as ordering
+    import quiverdt.strata as strata
+
+    calls = []
+    real = getattr(strata, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (ordering, strata):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_codim_contracts_once_and_orders_each_block_once(a3, d4, monkeypatch):
+    contractions = _count_calls(monkeypatch, "order_blocks")
+    inner_orders = _count_calls(monkeypatch, "reineke_inner_order")
+    for q, blocks in ((a3, [["1"], ["2", "3"]]), (d4, [["3"], ["c", "1", "2"]])):
+        p = make_partition(q, blocks)
+        g = q.vector({v: 2 for v in q.vertices})
+        for m in kostant_series(q, p, g):
+            contractions.clear()
+            codim_of_stratum(q, p, m, g)
+            assert len(contractions) == 1
+            inner_orders.clear()
+            assert codim_additivity_check(q, p, m, g).equal
+            assert [args[0] for args in inner_orders] == list(p.induced)
+
+
+def test_codims_ignore_how_the_blocks_are_listed(a3, a4, d4):
+    """Every listing of an admissible partition's blocks, with its series passed
+    alongside the listing that built them or another one, gives one stratum
+    codimension and the same block codimensions by block members."""
+    for q in (a3, a4, d4):
+        g = q.vector({v: 2 for v in q.vertices})
+        for p in enumerate_partitions(q, admissible_only=True):
+            seen = {}
+            for perm in itertools.permutations(p.blocks):
+                listed = make_partition(q, perm)
+                for m in kostant_series(q, listed, g):
+                    key = frozenset(
+                        (frozenset(b), kp.multiplicities)
+                        for b, kp in zip(m.partition.blocks, m.per_block)
+                    )
+                    v = codim_additivity_check(q, listed, m, g)
+                    by_members = {frozenset(b): c for b, c in zip(m.partition.blocks, v.block_codims)}
+                    got = (codim_of_stratum(q, listed, m, g).codim, v.total_codim, by_members)
+                    assert got == seen.setdefault(key, got)
+                    assert codim_of_stratum(q, p, m, g).codim == got[0]
+            assert seen
+
+
 def test_betti_zero_gamma(a2):
     v = betti_identity_check(a2, whole(a2), a2.zero(), 20)
     assert v.equal and v.lhs.to_pairs() == [[0, 1]]
