@@ -27,10 +27,23 @@ truncated once.  The digit width of one product comes from the bound
 min(sum L1(x) * max L1(y), max L1(x) * sum L1(y)) over the terms' series
 (L1 is the sum of absolute coefficients).  It holds because each x term
 meets at most one y term per target.
+
+Two kinds of pair skip that work.  A y_0 term whose coefficient is exactly
+1 (compared on every call) hands the other term's series to its target
+unchanged: a target that gets nothing else keeps that series object and
+its key, and one that does adds the packed series without a multiply.
+Its contribution is still L1(1) * L1(c) = L1(c), so the width bound holds
+as it stands.  Dimension vectors are packed into a mixed-radix box index
+with one guard bit above each coordinate's digit, so a pair's sum leaves
+the box exactly when (index_x + index_y + offset) & guard is nonzero (see
+_box_index); such pairs are dropped before any series work.  Each y
+term's skew row is built once per call, so a pair's skew form is one dot
+product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping
 
 from .errors import (
@@ -42,7 +55,7 @@ from .errors import (
 from .ordering import RootOrder, admissible_total_order, validate_order
 from .partitions import SubquiverPartition
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
-from .series import PackedSum, VSeries, convolve_into, poincare_series, product_width
+from .series import PackedSum, VSeries, _trim, convolve_into, poincare_series, product_width
 
 
 def working_v_max(q: Quiver, bound: DimVector, v_max: int) -> int:
@@ -70,10 +83,7 @@ class QuantumElement:
         _check_keys(self.quiver, gamma)
         if not gamma <= self.bound:
             raise BoundExceededError(f"{gamma} exceeds the support bound {self.bound}")
-        s = self.terms.get(gamma)
-        if s is None:
-            return VSeries.zero(self.v_max)
-        return VSeries(self.v_max, s.min_exp, s.coeffs)
+        return VSeries(self.v_max, *_cut(self.terms.get(gamma), self.v_max))
 
     def _check(self, other: QuantumElement) -> None:
         if self.quiver != other.quiver:
@@ -97,6 +107,11 @@ class QuantumElement:
 
     def support(self) -> list[DimVector]:
         return sorted(self.terms, key=lambda g: (g.height, g.values))
+
+
+def _cut(s: VSeries | None, v_max: int) -> tuple[int, tuple[int, ...]]:
+    """(min_exp, coeffs) of s, zero when s is None, truncated at v_max."""
+    return (0, ()) if s is None else _trim(v_max, s.min_exp, s.coeffs)
 
 
 def _element(
@@ -134,6 +149,24 @@ def monomial(
     return _element(q, bound, v_max, {gamma: coeff})
 
 
+def _box_index(bound: tuple[int, ...]) -> tuple[list[int], int, int]:
+    """Digit places of the mixed-radix box index, and its offset and guard masks.
+
+    Coordinate i takes k + 1 bits at its place, k = bound[i].bit_length();
+    the offset fills digit i up to 2^k - 1 when it holds bound[i], so the
+    sum of two in-box indices plus the offset sets digit i's guard bit
+    (bit k) exactly when that coordinate of the sum exceeds bound[i].
+    """
+    places, off, guard, at = [], 0, 0, 0
+    for b in bound:
+        k = b.bit_length()
+        places.append(at)
+        off |= ((1 << k) - 1 - b) << at
+        guard |= 1 << (at + k)
+        at += k + 1
+    return places, off, guard
+
+
 def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     """Product in the quantum algebra, truncated by bound and v_max.
 
@@ -145,26 +178,63 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     bound = x.bound.values
     work = working_v_max(q, x.bound, x.v_max)
     width = product_width(x.terms.values(), y.terms.values())
+    places, off, guard = _box_index(bound)
+    one = VSeries.one(work)
+
+    def terms(el: QuantumElement) -> list:
+        out = []
+        for g, c in el.terms.items():
+            i = sum(v << at for v, at in zip(g.values, places))
+            out.append((i, g, c, not i and c == one))
+        return out
+
+    xs = terms(x)
+    ys = []
+    for i, g, c, unit in terms(y):
+        row = [0] * q.n  # skew(u, w) = sum of u[i] * row[i]
+        for t, h in q._arrow_pairs:
+            row[t] += g.values[h]
+            row[h] -= g.values[t]
+        ys.append((i, g, c, unit, row))
+    keys = {i: g for i, g, *_ in xs + ys}
     packs: dict = {}
-    acc: dict[tuple[int, ...], PackedSum] = {}
-    for g1, c1 in x.terms.items():
+    # target index -> the (key, series) passed through it alone, or its PackedSum
+    acc: dict[int, tuple[DimVector, VSeries] | PackedSum] = {}
+    for iu, g1, c1, unit1 in xs:
         u = g1.values
-        u_zero = g1.is_zero
-        for g2, c2 in y.terms.items():
-            w = g2.values
-            total = tuple(a + b for a, b in zip(u, w))
-            if any(a > b for a, b in zip(total, bound)):
+        for iw, g2, c2, unit2, row in ys:
+            if (iu + iw + off) & guard:
                 continue
-            if u_zero or g2.is_zero:
-                shift, sign = 0, 1
+            t = iu + iw
+            held = acc.get(t)
+            if held is None and (unit1 or unit2):
+                acc[t] = (g2, c2) if unit1 else (g1, c1)
+                continue
+            if held is None or type(held) is tuple:
+                target = acc[t] = PackedSum(width, packs)
+                if held is not None:
+                    target.put(held[1])
             else:
-                shift, sign = q.skew_values(u, w), -1
-            target = acc.get(total)
-            if target is None:
-                target = acc[total] = PackedSum(width, packs)
-            convolve_into(target, c1, c2, shift, sign, work)
-    terms = {DimVector(q.vertices, values): s.series(work) for values, s in acc.items()}
-    return _element(q, x.bound, x.v_max, terms)
+                target = held
+            if unit1:
+                target.put(c2)
+            elif unit2:
+                target.put(c1)
+            elif iu and iw:
+                convolve_into(target, c1, c2, sum(map(mul, u, row)), -1, work)
+            else:
+                convolve_into(target, c1, c2, 0, 1, work)
+    out = {}
+    for t, held in acc.items():
+        if type(held) is tuple:
+            out[held[0]] = held[1]
+        else:
+            g = keys.get(t)
+            if g is None:
+                values = tuple(t >> at & (1 << b.bit_length()) - 1 for at, b in zip(places, bound))
+                g = DimVector(q.vertices, values)
+            out[g] = held.series(work)
+    return _element(q, x.bound, x.v_max, out)
 
 
 def dilog(q: Quiver, gamma: DimVector, bound: DimVector, v_max: int) -> QuantumElement:
@@ -249,16 +319,18 @@ def verify_factorization(
     """
     _check_keys(q, bound)
     order = admissible_total_order(q, p)
-    lhs = reference if reference is not None else trivial_dt(q, bound, v_max)
     if reference is not None:
+        if reference.quiver != q:
+            raise TruncationMismatchError("elements over different quivers")
         if reference.bound != bound or reference.v_max != v_max:
             raise TruncationMismatchError("reference computed with different truncation")
+    lhs = reference if reference is not None else trivial_dt(q, bound, v_max)
     rhs = factorization_product(q, order, bound, v_max)
     mismatches = []
     for g in sorted(lhs.terms.keys() | rhs.terms.keys(), key=lambda g: (g.height, g.values)):
-        a, b = lhs.coefficient(g), rhs.coefficient(g)
+        a, b = _cut(lhs.terms.get(g), v_max), _cut(rhs.terms.get(g), v_max)
         if a != b:
-            mismatches.append((g, a, b))
+            mismatches.append((g, VSeries(v_max, *a), VSeries(v_max, *b)))
     return VerificationReport(
         q, order.partition, order, bound, v_max, not mismatches, tuple(mismatches)
     )

@@ -198,28 +198,31 @@ def enumerate_partitions(q: Quiver, admissible_only: bool = False) -> list[Subqu
     n = q.n
     out: list[SubquiverPartition] = []
 
-    def candidates(available: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def candidates(available: tuple[int, ...]) -> list[tuple]:
+        """(indices, members, induced subquiver, type) of each Dynkin block on available[0]."""
         pivot = available[0]
         rest = available[1:]
         found = []
         for mask in range(1 << len(rest)):
             subset = (pivot,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+            members = tuple(q.vertices[i] for i in subset)
+            sub = induced_subquiver(q, members)
             try:
-                shape = classify_dynkin(induced_subquiver(q, [q.vertices[i] for i in subset]))
+                shape = classify_dynkin(sub)
             except NotConnectedError:
                 continue
             if not isinstance(shape, NotDynkin):
-                found.append(subset)
-        found.sort(key=lambda s: (len(s), s))
+                found.append((subset, members, sub, shape))
+        found.sort(key=lambda c: (len(c[0]), c[0]))
         return found
 
-    def rec(available: tuple[int, ...], chosen: list[tuple[int, ...]]) -> None:
+    def rec(available: tuple[int, ...], chosen: list[tuple]) -> None:
         if not available:
-            blocks = [tuple(q.vertices[i] for i in b) for b in chosen]
-            out.append(make_partition(q, blocks))
+            _, blocks, induced, types = zip(*chosen)
+            out.append(SubquiverPartition(q, blocks, induced, types))
             return
         for block in candidates(available):
-            taken = set(block)
+            taken = set(block[0])
             rec(tuple(i for i in available if i not in taken), chosen + [block])
 
     rec(tuple(range(n)), [])

@@ -42,6 +42,7 @@ def _digit_width(bound: int) -> int:
     return next((w for w in _WORD_CODES if need <= w), -(-need // 8) * 8)
 
 
+@lru_cache(maxsize=256)
 def _bias(width: int, n: int) -> int:
     """2^(width-1) in each of n digits: adding it makes every signed digit non-negative."""
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
@@ -75,6 +76,17 @@ def _unpack(value: int, n: int, width: int, check: int) -> tuple[int, ...]:
     return digits
 
 
+def _trim(v_max: int, min_exp: int, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The run coeffs starting at v^min_exp, cut at v_max and stripped of
+    zeros at both ends: the canonical (min_exp, coeffs) VSeries keeps."""
+    start, end = 0, min(len(coeffs), max(0, v_max - min_exp + 1))
+    while start < end and not coeffs[start]:
+        start += 1
+    while end > start and not coeffs[end - 1]:
+        end -= 1
+    return (min_exp + start, coeffs[start:end]) if start < end else (0, ())
+
+
 @dataclass(frozen=True)
 class VSeries:
     """Integer Laurent polynomial in v, exact below the cutoff v_max.
@@ -94,14 +106,9 @@ class VSeries:
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise InvalidInputError(f"series coefficients must be integers, got {c!r}")
             coeffs = tuple(map(int, coeffs))
-        min_exp = self.min_exp
-        start, end = 0, min(len(coeffs), max(0, self.v_max - min_exp + 1))
-        while start < end and not coeffs[start]:
-            start += 1
-        while end > start and not coeffs[end - 1]:
-            end -= 1
-        object.__setattr__(self, "min_exp", min_exp + start if start < end else 0)
-        object.__setattr__(self, "coeffs", coeffs[start:end])
+        min_exp, coeffs = _trim(self.v_max, self.min_exp, coeffs)
+        object.__setattr__(self, "min_exp", min_exp)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, v_max: int) -> VSeries:
@@ -267,6 +274,22 @@ class PackedSum:
             hit = self.packs[id(s)] = (_pack(s.coeffs, self.width), sum(s.coeffs), s)
         return hit[0], hit[1]
 
+    def add(self, low: int, n: int, value: int, check: int) -> None:
+        """Add a packed run of n digits, digit 0 at exponent low, whose value at v = 1 is check."""
+        if self.low is None:
+            self.low = self.high = low
+        elif low < self.low:
+            self.value <<= self.width * (self.low - low)
+            self.low = low
+        self.value += value << (self.width * (low - self.low))
+        self.high = max(self.high, low + n - 1)
+        self.check += check
+
+    def put(self, s: VSeries) -> None:
+        """Add s itself, the product 1 * s, without a multiply."""
+        value, check = self.pack(s)
+        self.add(s.min_exp, len(s.coeffs), value, check)
+
     def series(self, v_max: int) -> VSeries:
         """The sum, unpacked and truncated at v_max."""
         if self.low is None:
@@ -285,15 +308,7 @@ def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int,
         return
     pa, ca = acc.pack(a)
     pb, cb = acc.pack(b)
-    high = low + len(a.coeffs) + len(b.coeffs) - 2
-    if acc.low is None:
-        acc.low = acc.high = low
-    elif low < acc.low:
-        acc.value <<= acc.width * (acc.low - low)
-        acc.low = low
-    acc.value += (sign * pa * pb) << (acc.width * (low - acc.low))
-    acc.high = max(acc.high, high)
-    acc.check += sign * ca * cb
+    acc.add(low, len(a.coeffs) + len(b.coeffs) - 1, sign * pa * pb, sign * ca * cb)
 
 
 @lru_cache(maxsize=None)

@@ -93,6 +93,16 @@ def dense_qt_multiply(x, y) -> dict[tuple[int, ...], VSeries]:
     return {g: s for g, s in out.items() if not s.is_zero}
 
 
+def coefficient_mismatches(lhs, rhs) -> list:
+    """(gamma, lhs side, rhs side) for every gamma whose coefficient() differs.
+
+    Gammas run over the union of both supports, by height then values.
+    """
+    gammas = sorted(lhs.terms.keys() | rhs.terms.keys(), key=lambda g: (g.height, g.values))
+    return [(g, lhs.coefficient(g), rhs.coefficient(g)) for g in gammas
+            if lhs.coefficient(g) != rhs.coefficient(g)]
+
+
 def cartan_matrix(q: Quiver) -> list[list[int]]:
     """Symmetrized Cartan matrix of the underlying graph (simply laced)."""
     n = q.n

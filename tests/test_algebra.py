@@ -76,6 +76,93 @@ def test_qt_multiply_of_dilogs_matches_dense_reference(name, request):
         assert {g.values: s for g, s in x.terms.items()} == want
 
 
+def as_values(el):
+    return {g.values: s for g, s in el.terms.items()}
+
+
+def with_y0(el, coeff):
+    """el with its y_0 coefficient replaced by coeff; None drops the term."""
+    q = el.quiver
+    out = monomial(q, q.zero(), 0 if coeff is None else coeff, el.bound, V_MAX)
+    for g, s in el.terms.items():
+        if not g.is_zero:
+            out = out + monomial(q, g, s, el.bound, V_MAX)
+    return out
+
+
+@pytest.mark.parametrize("unit", [2, "1+v", -1, None])
+def test_qt_multiply_y0_other_than_one_is_multiplied(unit, a3, rng):
+    """Only a y_0 coefficient equal to 1 passes the other operand through."""
+    bound = bound_of(a3, 2)
+    work = working_v_max(a3, bound, V_MAX)
+    coeff = {"1+v": VSeries(work, 0, (1, 1))}.get(unit, unit)
+    for _ in range(10):
+        x = with_y0(random_element(rng, a3, bound, work), coeff)
+        assert (a3.zero() in x.terms) == (unit is not None)
+        y = random_element(rng, a3, bound, work)
+        for left, right in ((x, y), (y, x), (x, x)):
+            assert as_values(qt_multiply(left, right)) == oracles.dense_qt_multiply(left, right)
+
+
+def test_qt_multiply_unit_hands_series_through_unchanged(a3, rng):
+    bound = bound_of(a3, 2)
+    work = working_v_max(a3, bound, V_MAX)
+    for _ in range(10):
+        x = random_element(rng, a3, bound, work)
+        y = dilog(a3, a3.unit(rng.choice(a3.vertices)), bound, V_MAX)
+        for left, right in ((x, y), (y, x), (y, y)):
+            got = qt_multiply(left, right)
+            assert as_values(got) == oracles.dense_qt_multiply(left, right)
+        # a target that only the unit pair reaches keeps the operand's series object
+        got = qt_multiply(x, identity(a3, bound, V_MAX))
+        assert all(got.terms[g] is s for g, s in x.terms.items())
+        assert all(any(k is g for k in got.terms) for g in x.terms)
+
+
+def test_qt_multiply_both_operands_with_unit(a3, rng):
+    bound = bound_of(a3, 2)
+    work = working_v_max(a3, bound, V_MAX)
+    for _ in range(10):
+        x = random_element(rng, a3, bound, work)
+        y = random_element(rng, a3, bound, work)
+        x, y = with_y0(x, 1), with_y0(y, 1)
+        assert x.terms[a3.zero()] == y.terms[a3.zero()] == VSeries.one(work)
+        assert as_values(qt_multiply(x, y)) == oracles.dense_qt_multiply(x, y)
+
+
+def test_qt_multiply_by_an_element_that_is_only_y0(a3, rng):
+    bound = bound_of(a3, 2)
+    work = working_v_max(a3, bound, V_MAX)
+    one = identity(a3, bound, V_MAX)
+    three = monomial(a3, a3.zero(), VSeries(work, -2, (3, 0, 1)), bound, V_MAX)
+    x = random_element(rng, a3, bound, work)
+    for left, right in ((one, one), (one, three), (three, one), (three, three),
+                        (x, one), (one, x), (x, three), (three, x)):
+        assert as_values(qt_multiply(left, right)) == oracles.dense_qt_multiply(left, right)
+    assert qt_multiply(one, one).terms == one.terms
+
+
+@pytest.mark.parametrize("entries", [(0, 2, 2), (2, 0, 3), (3, 3, 3), (4, 4, 4), (7, 1, 4),
+                                     (8, 1, 3), (3, 8, 0)])
+def test_qt_multiply_box_index_at_every_digit_width(entries, a3, rng):
+    """Bound 0 and the bounds where the guard-bit digit widens (3→4, 7→8)."""
+    bound = a3.vector(list(entries))
+    work = working_v_max(a3, bound, V_MAX)
+    for _ in range(8):
+        x, y = random_element(rng, a3, bound, work), random_element(rng, a3, bound, work)
+        assert as_values(qt_multiply(x, y)) == oracles.dense_qt_multiply(x, y)
+    # edge pairs: sums at the bound are kept, one past it in any coordinate are dropped
+    full = monomial(a3, bound, 1, bound, V_MAX)
+    for i, b in enumerate(entries):
+        if b:
+            low = monomial(a3, a3.unit(a3.vertices[i]), 1, bound, V_MAX)
+            assert qt_multiply(full, low).terms == {}
+            rest = a3.vector([e - (j == i) for j, e in enumerate(entries)])
+            part = monomial(a3, rest, 1, bound, V_MAX)
+            assert as_values(qt_multiply(part, low)) == oracles.dense_qt_multiply(part, low)
+            assert bound.values in as_values(qt_multiply(part, low))
+
+
 def test_qt_multiply_forced_width_overflow_raises(a2, monkeypatch):
     b = bound_of(a2, 2)
     x = monomial(a2, a2.unit("1"), VSeries(V_MAX, 0, (100, 100, 100)), b, V_MAX)
@@ -336,6 +423,36 @@ def test_verify_factorization_sweep_orientations(a2_rev, a3_source_mid, a3_sink_
         ref = trivial_dt(q, b, V_MAX)
         for p in enumerate_partitions(q, admissible_only=True):
             assert verify_factorization(q, p, b, V_MAX, reference=ref).passed
+
+
+def test_verify_factorization_rejects_reference_over_another_quiver():
+    q = oracles.build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    other = oracles.build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")])
+    b = bound_of(q, 2)
+    p = make_partition(q, [["1"], ["2"], ["3"]])
+    with pytest.raises(TruncationMismatchError, match="different quivers"):
+        verify_factorization(q, p, b, 20, reference=trivial_dt(other, b, 20))
+
+
+def test_verify_factorization_reports_mismatches_up_to_v_max_only(a3):
+    b = bound_of(a3, 2)
+    work = working_v_max(a3, b, V_MAX)
+    assert work > V_MAX + 1
+    ref = trivial_dt(a3, b, V_MAX)
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    rhs = factorization_product(a3, admissible_total_order(a3, p), b, V_MAX)
+    # y_0's coefficient 1 ends below v_max, so a bump past v_max must not leave
+    # zeros behind; v^(v_max+1) lies inside the working headroom, outside the window
+    gammas = [a3.zero(), a3.vector([1, 1, 0]), a3.vector([2, 1, 2]), b]
+    for exp, seen in ((V_MAX, True), (V_MAX + 1, False)):
+        bumped = ref
+        for k, g in enumerate(gammas):
+            bumped = bumped + monomial(a3, g, VSeries.monomial(work, k + 1, exp), b, V_MAX)
+        report = verify_factorization(a3, p, b, V_MAX, reference=bumped)
+        assert report.passed is not seen
+        assert list(report.mismatches) == oracles.coefficient_mismatches(bumped, rhs)
+        assert [g for g, _, _ in report.mismatches] == (sorted(gammas, key=lambda g: (
+            g.height, g.values)) if seen else [])
 
 
 def test_verification_report_fields(a3):

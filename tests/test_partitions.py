@@ -88,6 +88,25 @@ def test_enumerate_d4_admissible_count(d4):
     ]
 
 
+def test_enumerate_classifies_each_candidate_block_once(d4, monkeypatch):
+    """Partitions are built from the candidates' shapes, not classified again.
+
+    With center c first, the recursion tests 8 blocks on c, then 7 blocks
+    after [c], 3 after each of [c,1], [c,2], [c,3], and 1 after each of
+    the three 3-vertex blocks: 27 calls for 8 partitions of 20 blocks.
+    """
+    import quiverdt.partitions as partitions
+
+    calls = []
+    real = partitions.classify_dynkin
+    monkeypatch.setattr(partitions, "classify_dynkin", lambda sub: calls.append(sub) or real(sub))
+    ps = enumerate_partitions(d4)
+    assert len(ps) == 8 and sum(p.size for p in ps) == 20
+    assert len(calls) == 27
+    monkeypatch.undo()
+    assert ps == [make_partition(d4, p.blocks) for p in ps]
+
+
 def test_admissible_verdict_atilde2_good(atilde2):
     v = check_admissible(atilde2, make_partition(atilde2, [["1"], ["2", "3"]]))
     assert v.admissible and v.witness is None and v.ordered
