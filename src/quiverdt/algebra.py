@@ -20,29 +20,41 @@ can never exceed that, which makes every coefficient read back through
 coefficient() exact regardless of how a product was parenthesized or
 ordered.
 
+Every series of a dilogarithm product obeys a parity rule: the
+coefficient of y_gamma has only v exponents of the parity of chi(gamma,
+gamma), the Euler form.  The dilogarithm of a real root gamma carries
+v^(k^2) P_k, P_k a series in q, at y_(k*gamma), and chi(k*gamma, k*gamma) =
+k^2; a product adds skew(a, b) = chi(a, b) - chi(b, a), of the parity of
+chi(a + b, a + b) - chi(a, a) - chi(b, b).
+
 qt_multiply gives each target y_gamma of a product one packed accumulator
-(series.PackedSum): every term pair adds one bigint product of packed
-series, shifted by the pair's skew form, and each target is unpacked and
-truncated once.  The digit width of one product comes from the bound
-min(sum L1(x) * max L1(y), max L1(x) * sum L1(y)) over the terms' series
-(L1 is the sum of absolute coefficients).  It holds because each x term
-meets at most one y term per target.
+(series.PackedSum), which packs series as their exponent-parity halves in
+q-steps and keeps one packed sum per parity: every term pair adds the
+bigint products of its series' halves, shifted by the pair's skew form
+(one product of half-length runs under the parity rule), and each target
+is unpacked and truncated once.  The digit width of one product comes from
+the bound min(sum L1(x) * max Linf(y), max Linf(x) * sum L1(y)) over the
+terms' series (L1 is the sum of absolute coefficients, Linf the largest).
+It holds because one product's coefficients are bounded by L1(a) * Linf(b)
+and by Linf(a) * L1(b), and each x term meets at most one y term per target.
 
 Two kinds of pair skip that work.  A y_0 term whose coefficient is exactly
 1 (compared on every call) hands the other term's series to its target
 unchanged: a target that gets nothing else keeps that series object and
 its key, and one that does adds the packed series without a multiply.
-Its contribution is still L1(1) * L1(c) = L1(c), so the width bound holds
-as it stands.  Dimension vectors are packed into a mixed-radix box index
+Its contribution is still the product 1 * c, so the width bound holds as
+it stands.  Dimension vectors are packed into a mixed-radix box index
 with one guard bit above each coordinate's digit, so a pair's sum leaves
 the box exactly when (index_x + index_y + offset) & guard is nonzero (see
-_box_index); such pairs are dropped before any series work.  Each y
-term's skew row is built once per call, so a pair's skew form is one dot
-product.
+_box_index); such pairs are dropped before any series work.  The
+DimVector of each decoded target index is built once per vertex tuple and
+bound, in a table _box_index keeps.  Each y term's skew row is built once
+per call, so a pair's skew form is one dot product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Mapping
 
@@ -149,8 +161,10 @@ def monomial(
     return _element(q, bound, v_max, {gamma: coeff})
 
 
-def _box_index(bound: tuple[int, ...]) -> tuple[list[int], int, int]:
-    """Digit places of the mixed-radix box index, and its offset and guard masks.
+@lru_cache(maxsize=64)
+def _box_index(vertices: tuple[str, ...], bound: tuple[int, ...]) -> tuple:
+    """Digit places of the mixed-radix box index, its offset and guard masks,
+    and the table from index to DimVector that decoded targets fill.
 
     Coordinate i takes k + 1 bits at its place, k = bound[i].bit_length();
     the offset fills digit i up to 2^k - 1 when it holds bound[i], so the
@@ -164,7 +178,7 @@ def _box_index(bound: tuple[int, ...]) -> tuple[list[int], int, int]:
         off |= ((1 << k) - 1 - b) << at
         guard |= 1 << (at + k)
         at += k + 1
-    return places, off, guard
+    return places, off, guard, {}
 
 
 def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
@@ -178,7 +192,7 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     bound = x.bound.values
     work = working_v_max(q, x.bound, x.v_max)
     width = product_width(x.terms.values(), y.terms.values())
-    places, off, guard = _box_index(bound)
+    places, off, guard, keys = _box_index(q.vertices, bound)
     one = VSeries.one(work)
 
     def terms(el: QuantumElement) -> list:
@@ -196,7 +210,6 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
             row[t] += g.values[h]
             row[h] -= g.values[t]
         ys.append((i, g, c, unit, row))
-    keys = {i: g for i, g, *_ in xs + ys}
     packs: dict = {}
     # target index -> the (key, series) passed through it alone, or its PackedSum
     acc: dict[int, tuple[DimVector, VSeries] | PackedSum] = {}
@@ -232,7 +245,7 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
             g = keys.get(t)
             if g is None:
                 values = tuple(t >> at & (1 << b.bit_length()) - 1 for at, b in zip(places, bound))
-                g = DimVector(q.vertices, values)
+                g = keys[t] = DimVector(q.vertices, values)
             out[g] = held.series(work)
     return _element(q, x.bound, x.v_max, out)
 

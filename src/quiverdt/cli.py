@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from math import prod
 from pathlib import Path
 
-from .algebra import trivial_dt, verify_factorization
+from .algebra import trivial_dt, verify_factorization, working_v_max
 from .dynkin import DEFAULT_CAP, NotDynkin, classify_dynkin, positive_roots
 from .errors import InconsistencyError, QuiverDtError, QuiverParseError
 from .ordering import admissible_total_order, reineke_inner_order
@@ -142,6 +142,18 @@ def _parse_bound(q: Quiver, spec: str | None, cap: int) -> DimVector:
                 f"the box of {bound} holds {box} dimension vectors, more than --cap {cap}"
             )
         return bound
+
+
+def _v_max(args: argparse.Namespace, headroom: int = 0) -> int:
+    """2 * --q-order; a series of that many exponents past v^0, plus the
+    headroom, may hold at most --cap coefficients."""
+    v_max = 2 * args.q_order
+    if v_max + headroom + 1 > args.cap:
+        raise QuiverDtError(
+            f"argument --q-order: a series of 2 * {args.q_order} + {headroom} + 1 = "
+            f"{v_max + headroom + 1} coefficients exceeds --cap {args.cap}"
+        )
+    return v_max
 
 
 def _parse_partition(q: Quiver, spec: str) -> SubquiverPartition:
@@ -280,7 +292,7 @@ def cmd_roots(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_dt(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     bound = _parse_bound(q, args.gamma_bound, args.cap)
-    v_max = 2 * args.q_order
+    v_max = _v_max(args, working_v_max(q, bound, 0))
     el = trivial_dt(q, bound, v_max)
     rep.text(f"combinatorial DT invariant, support bound {bound}, q-order {args.q_order}")
     for g in el.support():
@@ -318,13 +330,13 @@ def _report_factorization(rep: Reporter, report) -> None:
 def cmd_factorize(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     bound = _parse_bound(q, args.gamma_bound, args.cap)
+    v_max = _v_max(args, working_v_max(q, bound, 0))
     if args.all_partitions:
         ps = enumerate_partitions(q, admissible_only=True)
     elif args.partition is not None:
         ps = [_parse_partition(q, args.partition)]
     else:
         raise QuiverDtError("factorize needs --partition or --all-partitions")
-    v_max = 2 * args.q_order
     reference = trivial_dt(q, bound, v_max)
     failed = 0
     for p in ps:
@@ -382,7 +394,7 @@ def cmd_codim(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_betti(args: argparse.Namespace, rep: Reporter) -> int:
     q, p, gamma, _ = _strata_inputs(args)
-    verdict = betti_identity_check(q, p, gamma, 2 * args.q_order, cap=args.cap)
+    verdict = betti_identity_check(q, p, gamma, _v_max(args), cap=args.cap)
     lists = [inner_lists(term.series) for term in verdict.terms]
     rep.text(f"lhs = product of P_k over gamma={gamma} entries")
     for term, m in zip(verdict.terms, lists):
@@ -442,7 +454,9 @@ FLAGS = {
     "--gamma-bound": dict(help="integer or JSON object (default 2 per vertex); its box "
                                "of dimension vectors may hold at most --cap of them"),
     "--q-order": dict(type=_int_at_least(0), default=DEFAULT_Q_ORDER,
-                      help="series truncation in powers of q (default 20)"),
+                      help="series truncation in powers of q (default 20); a series of "
+                           "2 * q-order + 1 coefficients, plus the headroom of the bound, "
+                           "may hold at most --cap of them"),
     "--series": dict(help="JSON array of per-block multiplicity arrays "
                           "in inner root order"),
     "--all-partitions": dict(action="store_true",

@@ -7,16 +7,28 @@ exponent up to and including it.  Mixing truncation orders is an error.
 
 Products use Kronecker substitution.  A coefficient run c_0..c_(n-1) is
 packed into the one signed integer sum(c_i * 2^(B*i)), so a product of
-series is one native bigint multiply, and the signed B-bit digits of the
+runs is one native bigint multiply, and the signed B-bit digits of the
 result are the product's coefficients.  Packing and unpacking go through
 array('b'|'h'|'i'|'q') when B is 8, 16, 32 or 64, and through byte slices
-for wider B.  The digit width B is chosen per product from a proven bound
-on every output coefficient: L1(a) * L1(b) for a * b, where L1 is the sum
-of absolute coefficients.  That bound is what keeps every digit from
-wrapping.  Unpacking also raises InconsistencyError when the top digit
-leaves the width or the digits do not sum to the product's value at v = 1;
-this catches most wraps a wrong bound would cause, but not one whose
-carries cancel (true digits 200, -257, 57 at B = 8 unpack as -56, 0, 56).
+for wider B.
+
+Each series is packed as its two exponent-parity halves, coeffs[0::2] and
+coeffs[1::2], each a run in q-steps (v^2 = q); a half that is all zero is
+not packed.  A product multiplies the non-empty half pairs into one packed
+sum per exponent parity, so two series of one parity each (every series of
+a dilogarithm product, see algebra) multiply as one product of half-length
+runs, and mixed series take at most four, which cost no more than the one
+full-length multiply they replace.
+
+The digit width B is chosen per product from a proven bound on every
+output coefficient: |c_e| <= sum_i |a_i| |b_(e-i)| <= L1(a) * Linf(b), and
+by symmetry Linf(a) * L1(b), where L1 is the sum of absolute coefficients
+and Linf the largest one; B holds the smaller.  That bound is what keeps
+every digit from wrapping.  Unpacking also raises InconsistencyError when
+the top digit leaves the width or the digits do not sum to the product's
+value at v = 1; this catches most wraps a wrong bound would cause, but not
+one whose carries cancel (true digits 200, -257, 57 at B = 8 unpack as
+-56, 0, 56).
 """
 from __future__ import annotations
 
@@ -189,10 +201,10 @@ class VSeries:
         a, b = self.coeffs[:keep], other.coeffs[:keep]
         if not a or not b:
             return VSeries(self.v_max)
-        width = _digit_width(_l1(a) * _l1(b))
-        product = _pack(a, width) * _pack(b, width)
-        digits = _unpack(product, len(a) + len(b) - 1, width, sum(a) * sum(b))
-        return VSeries(self.v_max, self.min_exp + other.min_exp, digits)
+        width = _width([a], [b])
+        acc = PackedSum(width, {})
+        acc.add_product(self.min_exp + other.min_exp, _halves(a, width), _halves(b, width), 1)
+        return acc.series(self.v_max)
 
     def __rmul__(self, other: int) -> VSeries:
         return self.__mul__(other)
@@ -233,69 +245,102 @@ class VSeries:
         return " ".join(parts)
 
 
-def _l1(coeffs) -> int:
-    return sum(map(abs, coeffs))
-
-
-def product_width(xs, ys) -> int:
-    """Digit width for sums of products a * b with a from xs and b from ys.
+def _width(xs, ys) -> int:
+    """Digit width for sums of products a * b of coefficient runs, a from xs and b from ys.
 
     In each sum every a meets at most one b and every b at most one a, so
     each coefficient of a sum is bounded by
-    min(sum L1(a) * max L1(b), max L1(a) * sum L1(b)).
+    min(sum L1(a) * max Linf(b), max Linf(a) * sum L1(b)).
     """
-    lx = [_l1(s.coeffs) for s in xs] or [0]
-    ly = [_l1(s.coeffs) for s in ys] or [0]
-    return _digit_width(min(sum(lx) * max(ly), max(lx) * sum(ly)))
+    l1x, l1y = [sum(map(abs, a)) for a in xs], [sum(map(abs, b)) for b in ys]
+    lix, liy = [max(map(abs, a), default=0) for a in xs], [max(map(abs, b), default=0) for b in ys]
+    return _digit_width(min(sum(l1x) * max(liy, default=0), max(lix, default=0) * sum(l1y)))
+
+
+def product_width(xs, ys) -> int:
+    """Digit width for sums of series products a * b, a from xs and b from ys (see _width)."""
+    return _width([s.coeffs for s in xs], [s.coeffs for s in ys])
+
+
+def _halves(coeffs, width: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The non-zero exponent-parity halves of a coefficient run, packed in q-steps.
+
+    Each is (offset of its first exponent in the run, packed value, digit
+    count, value at v = 1).
+    """
+    out = []
+    for k in (0, 1):
+        half = coeffs[k::2]
+        if any(half):
+            out.append((k, _pack(half, width), len(half), sum(half)))
+    return tuple(out)
 
 
 class PackedSum:
-    """A running sum of shifted series products, packed at 2^width.
+    """A running sum of shifted series products, packed at 2^width per exponent parity.
 
-    value is the sum evaluated at v = 2^width, offset so that exponent low
-    is digit 0; high is the top exponent any product reached, and check is
-    the sum's value at v = 1.  Every digit must stay within the bound the
-    width was chosen for (see product_width).  Packed operands are memoized
-    in packs, keyed by identity; sums of one product may share it.
+    classes[k] holds the terms of exponents of parity k, packed in q-steps,
+    as [low, high, value, check]: digit 0 is exponent low, high is the top
+    exponent any product reached, value is the packed sum and check its
+    value at v = 1.  Every digit must stay within the bound the width was
+    chosen for (see product_width).  Packed operands are memoized in packs,
+    keyed by identity; sums of one product may share it.
     """
 
-    __slots__ = ("width", "packs", "low", "high", "value", "check")
+    __slots__ = ("width", "packs", "classes")
 
     def __init__(self, width: int, packs: dict):
         self.width, self.packs = width, packs
-        self.low = self.high = None
-        self.value = self.check = 0
+        self.classes: list = [None, None]
 
-    def pack(self, s: VSeries) -> tuple[int, int]:
-        """s packed at 2^width, and its value at v = 1."""
+    def pack(self, s: VSeries) -> tuple[tuple[int, int, int, int], ...]:
+        """The parity halves of s packed at 2^width (see _halves)."""
         hit = self.packs.get(id(s))
         if hit is None:
             # the series is kept alive with its entry, so its id cannot be reused
-            hit = self.packs[id(s)] = (_pack(s.coeffs, self.width), sum(s.coeffs), s)
-        return hit[0], hit[1]
+            hit = self.packs[id(s)] = (_halves(s.coeffs, self.width), s)
+        return hit[0]
 
     def add(self, low: int, n: int, value: int, check: int) -> None:
-        """Add a packed run of n digits, digit 0 at exponent low, whose value at v = 1 is check."""
-        if self.low is None:
-            self.low = self.high = low
-        elif low < self.low:
-            self.value <<= self.width * (self.low - low)
-            self.low = low
-        self.value += value << (self.width * (low - self.low))
-        self.high = max(self.high, low + n - 1)
-        self.check += check
+        """Add a packed run of n digits in q-steps, digit 0 at exponent low,
+        whose value at v = 1 is check."""
+        k = low & 1
+        held = self.classes[k]
+        if held is None:
+            self.classes[k] = [low, low + 2 * n - 2, value, check]
+            return
+        lo, high, total, sum1 = held
+        if low < lo:
+            total <<= self.width * ((lo - low) >> 1)
+            lo = low
+        total += value << (self.width * ((low - lo) >> 1))
+        self.classes[k] = [lo, max(high, low + 2 * n - 2), total, sum1 + check]
+
+    def add_product(self, low: int, xs, ys, sign: int) -> None:
+        """Add sign * v^low * a * b, for a and b given as their packed halves."""
+        for ka, pa, na, ca in xs:
+            for kb, pb, nb, cb in ys:
+                self.add(low + ka + kb, na + nb - 1, sign * pa * pb, sign * ca * cb)
 
     def put(self, s: VSeries) -> None:
         """Add s itself, the product 1 * s, without a multiply."""
-        value, check = self.pack(s)
-        self.add(s.min_exp, len(s.coeffs), value, check)
+        for k, value, n, check in self.pack(s):
+            self.add(s.min_exp + k, n, value, check)
 
     def series(self, v_max: int) -> VSeries:
         """The sum, unpacked and truncated at v_max."""
-        if self.low is None:
+        runs = []
+        for low, high, value, check in filter(None, self.classes):
+            digits = _unpack(value, (high - low) // 2 + 1, self.width, check)
+            if low <= v_max:  # digits past v_max are unpacked for the checks, then cut
+                runs.append((low, digits[:(v_max - low) // 2 + 1]))
+        if not runs:
             return VSeries(v_max)
-        n = self.high - self.low + 1
-        return VSeries(v_max, self.low, _unpack(self.value, n, self.width, self.check))
+        low = min(lo for lo, _ in runs)
+        out = [0] * (max(lo + 2 * len(d) for lo, d in runs) - 1 - low)
+        for lo, digits in runs:
+            out[lo - low:lo - low + 2 * len(digits) - 1:2] = digits
+        return VSeries(v_max, low, tuple(out))
 
 
 def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int, v_max: int) -> None:
@@ -306,9 +351,7 @@ def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int,
     low = a.min_exp + b.min_exp + shift
     if low > v_max or not a.coeffs or not b.coeffs:
         return
-    pa, ca = acc.pack(a)
-    pb, cb = acc.pack(b)
-    acc.add(low, len(a.coeffs) + len(b.coeffs) - 1, sign * pa * pb, sign * ca * cb)
+    acc.add_product(low, acc.pack(a), acc.pack(b), sign)
 
 
 @lru_cache(maxsize=None)

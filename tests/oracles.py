@@ -66,6 +66,16 @@ def dict_convolve_into(acc: dict[int, int], a: VSeries, b: VSeries, shift: int, 
             acc[e] = acc.get(e, 0) + sc1 * c2
 
 
+# (a, b) whose product peaks at 2^(w-1) - 1 = L1(a) * Linf(b) < Linf(a) * L1(b);
+# at w = 16, Linf(a) * Linf(b) = 127 fits 8 bits
+TIGHT_WIDTH_OPERANDS = {
+    8: ((64, 63), (1, 1, 1)),
+    16: ((127,) * 258 + (1,), (1,) * 259),
+    32: ((2**30, 2**30 - 1), (1, 1, 1)),
+    64: ((2**62, 2**62 - 1), (1, 1, 1)),
+}
+
+
 def dense_qt_multiply(x, y) -> dict[tuple[int, ...], VSeries]:
     """The quantum torus product x * y as {gamma values: series at the working cutoff}.
 

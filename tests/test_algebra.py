@@ -14,16 +14,19 @@ from quiverdt import (
     admissible_total_order,
     dilog,
     enumerate_partitions,
+    euler_form,
     factorization_product,
     identity,
     make_partition,
     monomial,
+    parse_quiver,
     poincare_series,
     qt_multiply,
     skew_form,
     trivial_dt,
     verify_factorization,
 )
+from quiverdt import algebra as algebra_mod
 from quiverdt import series as series_mod
 from quiverdt.algebra import working_v_max
 from quiverdt.errors import InconsistencyError
@@ -169,6 +172,73 @@ def test_qt_multiply_forced_width_overflow_raises(a2, monkeypatch):
     monkeypatch.setattr(series_mod, "_digit_width", lambda bound: 8)
     with pytest.raises(InconsistencyError):
         qt_multiply(x, x)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("step", [1, 2])
+def test_qt_multiply_width_is_tight_at_every_word_width(width, step, a2):
+    """The (1,1) coefficient peaks at L1 * Linf = 2^(width-1) - 1 exactly."""
+    v_max, bound = 1200, bound_of(a2, 1)
+    a, b = oracles.TIGHT_WIDTH_OPERANDS[width]
+    sa, sb = (VSeries.from_terms(v_max, {step * i: c for i, c in enumerate(r)}) for r in (a, b))
+    x = monomial(a2, a2.unit("1"), sa, bound, v_max)
+    y = monomial(a2, a2.unit("2"), sb, bound, v_max)
+    assert series_mod.product_width(x.terms.values(), y.terms.values()) == width
+    got = qt_multiply(x, y)
+    assert as_values(got) == oracles.dense_qt_multiply(x, y)
+    assert min(got.terms[a2.vector([1, 1])].coeffs) == -(2 ** (width - 1) - 1)
+
+
+def test_qt_multiply_mixed_parity_matches_dense_reference(a2):
+    """Even x odd, pure x mixed, and one target that both parities reach."""
+    bound, work = bound_of(a2, 2), working_v_max(a2, bound_of(a2, 2), V_MAX)
+    even = VSeries.from_terms(work, {0: 3, 2: -1, 6: 2**70})
+    odd = VSeries.from_terms(work, {-1: 2, 3: 5, 5: -7})
+    mixed = even + odd
+    e1, e2 = a2.unit("1"), a2.unit("2")
+
+    def el(*pairs):
+        out = monomial(a2, a2.zero(), 0, bound, V_MAX)
+        for g, c in pairs:
+            out = out + monomial(a2, g, c, bound, V_MAX)
+        return out
+
+    cases = [(el((e1, even)), el((e2, odd))), (el((e1, even)), el((e1, mixed), (e2, mixed))),
+             (el((e1, mixed), (a2.zero(), 3)), el((e2, even)))]
+    # (1,1) gets even * even * v^1 from e1 * e2 and odd * even * v^-1 from e2 * e1
+    both = (el((e1, even), (e2, odd)), el((e2, even), (e1, even)))
+    for x, y in cases + [both]:
+        assert as_values(qt_multiply(x, y)) == oracles.dense_qt_multiply(x, y)
+        assert as_values(qt_multiply(y, x)) == oracles.dense_qt_multiply(y, x)
+    top = qt_multiply(*both).terms[a2.vector([1, 1])]
+    assert {e % 2 for e, _ in top.items()} == {0, 1}
+
+
+def _parities(s):
+    return {e % 2 for e, _ in s.items()}
+
+
+def test_dilog_products_obey_the_parity_rule(quiver_dir, monkeypatch):
+    """Every coefficient of y_gamma has exponents of the parity of chi(gamma, gamma),
+    and no multiply of a dilogarithm chain sees an operand of mixed parity."""
+    seen = []
+
+    def single_parity_convolve(acc, a, b, *rest):
+        seen.append((_parities(a), _parities(b)))
+        return convolve(acc, a, b, *rest)
+
+    convolve = algebra_mod.convolve_into
+    monkeypatch.setattr(algebra_mod, "convolve_into", single_parity_convolve)
+    for path in sorted(quiver_dir.glob("*.json")):
+        q = parse_quiver(path.read_text())
+        bound = bound_of(q, 2)
+        products = [trivial_dt(q, bound, 40)]
+        for p in enumerate_partitions(q, admissible_only=True):
+            products.append(factorization_product(q, admissible_total_order(q, p), bound, 40))
+        for el in products:
+            for g, s in el.terms.items():
+                assert _parities(s) == {euler_form(q, g, g) % 2}, (path.name, g, s)
+    assert seen and all(len(pa) == len(pb) == 1 for pa, pb in seen)
 
 
 def test_identity_is_multiplicative_unit(a2):

@@ -380,6 +380,27 @@ def test_bound_box_within_cap_is_accepted(capsys, quiver_dir):
     assert code == 2 and "holds 12 dimension vectors" in err
 
 
+@pytest.mark.parametrize("command", ["dt", "factorize", "betti"])
+@pytest.mark.parametrize("flags", [("--q-order", "100000000000"),
+                                   ("--cap", "100", "--q-order", "1000")])
+def test_q_order_past_cap_exits_2_before_any_work(capsys, quiver_dir, command, flags):
+    extra = {"dt": (), "factorize": ("--all-partitions",),
+             "betti": ("--partition", '[["1"],["2"]]', "--gamma", '{"1":1,"2":1}')}[command]
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--quiver", str(quiver_dir / "a2.json"), *extra, *flags)
+    assert time.perf_counter() - started < 0.5
+    assert code == 2 and not out
+    assert "error: argument --q-order:" in err and "exceeds --cap" in err
+
+
+def test_q_order_at_cap_is_accepted(capsys, quiver_dir):
+    # a2 at bound 1 has headroom 1: 2 * 3 + 1 + 1 = 8 coefficients
+    argv = ["dt", "--quiver", str(quiver_dir / "a2.json"), "--gamma-bound", "1", "--q-order", "3"]
+    assert run(capsys, *argv, "--cap", "8")[0] == 0
+    code, _, err = run(capsys, *argv, "--cap", "7")
+    assert code == 2 and "= 8 coefficients exceeds --cap 7" in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--gamma", '{"1":-1,"2":0,"3":0}'),
     ("--gamma", '{"9":1}'),

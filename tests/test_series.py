@@ -111,6 +111,33 @@ def test_forced_width_overflow_raises(monkeypatch):
         series({0: 300}) * series({0: 1})
 
 
+@pytest.mark.parametrize("width", sorted(oracles.TIGHT_WIDTH_OPERANDS))
+@pytest.mark.parametrize("step", [1, 2])  # exponents in v-steps (both parities) or q-steps
+def test_width_is_min_of_l1_times_linf(width, step):
+    a, b = oracles.TIGHT_WIDTH_OPERANDS[width]
+    sa = series({step * i: c for i, c in enumerate(a)}, v_max=2000)
+    sb = series({step * i + 3: c for i, c in enumerate(b)}, v_max=2000)
+    assert series_mod.product_width([sa], [sb]) == series_mod.product_width([sb], [sa]) == width
+    got = sa * sb
+    assert max(got.coeffs) == 2 ** (width - 1) - 1
+    assert list(got.items()) == oracles.naive_poly_mul(list(sa.items()), list(sb.items()))
+
+
+def test_product_width_sums_l1_against_the_other_side_linf():
+    ones, sixes = series({e: 1 for e in range(10)}), series({0: 6, 1: 6})
+    xs, ys = [ones, ones], [sixes, sixes]
+    # min(20 * 6, 1 * 24) = 24; L1 * L1 would give min(20 * 12, 10 * 24) = 240
+    assert series_mod.product_width(xs, ys) == series_mod.product_width(ys, xs) == 8
+
+
+def test_mixed_parity_product_matches_naive_convolution():
+    even, odd = series({0: 5, 2: -7, 6: 1}), series({1: 3, 3: 2, 9: -4})
+    mixed = even + odd
+    for a, b in ((even, odd), (odd, odd), (even, mixed), (mixed, odd), (mixed, mixed)):
+        want = oracles.naive_poly_mul(list(a.items()), list(b.items()))
+        assert list((a * b).items()) == want
+
+
 def test_coefficients_must_be_plain_integers():
     with pytest.raises(InvalidInputError, match="series coefficients must be integers, got True"):
         VSeries(8, 0, (1, True))
