@@ -50,6 +50,14 @@ _box_index); such pairs are dropped before any series work.  The
 DimVector of each decoded target index is built once per vertex tuple and
 bound, in a table _box_index keeps.  Each y term's skew row is built once
 per call, so a pair's skew form is one dot product.
+
+Work that depends on one series alone is done once per series, not once
+per product.  Its L1 and Linf, and its packed halves at the last digit
+width it was packed at, live in the series' memo (see series), and a
+series handed through keeps that memo.  dilog is memoized, so every
+product chain of one quiver, bound and cutoff multiplies by the same
+elements and their already packed series.  A target whose products
+cancel is left out, so a product never holds a zero series.
 """
 from __future__ import annotations
 
@@ -210,7 +218,6 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
             row[t] += g.values[h]
             row[h] -= g.values[t]
         ys.append((i, g, c, unit, row))
-    packs: dict = {}
     # target index -> the (key, series) passed through it alone, or its PackedSum
     acc: dict[int, tuple[DimVector, VSeries] | PackedSum] = {}
     for iu, g1, c1, unit1 in xs:
@@ -224,7 +231,7 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
                 acc[t] = (g2, c2) if unit1 else (g1, c1)
                 continue
             if held is None or type(held) is tuple:
-                target = acc[t] = PackedSum(width, packs)
+                target = acc[t] = PackedSum(width)
                 if held is not None:
                     target.put(held[1])
             else:
@@ -240,22 +247,26 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     out = {}
     for t, held in acc.items():
         if type(held) is tuple:
-            out[held[0]] = held[1]
+            g, s = held
         else:
-            g = keys.get(t)
-            if g is None:
+            g, s = keys.get(t), held.series(work)
+            if g is None and s.coeffs:
                 values = tuple(t >> at & (1 << b.bit_length()) - 1 for at, b in zip(places, bound))
                 g = keys[t] = DimVector(q.vertices, values)
-            out[g] = held.series(work)
-    return _element(q, x.bound, x.v_max, out)
+        if s.coeffs:  # products that cancel leave no term
+            out[g] = s
+    return QuantumElement(q, x.bound, x.v_max, out)
 
 
+@lru_cache(maxsize=1024)
 def dilog(q: Quiver, gamma: DimVector, bound: DimVector, v_max: int) -> QuantumElement:
     """Quantum dilogarithm of y_gamma: sum over k of (-y_gamma)^k q^(k^2/2) P_k.
 
     By the power rule y_gamma^k = (-1)^(k-1) y_(k*gamma) the k-th term is
     -v^(k^2) P_k y_(k*gamma), written down directly; the sum terminates
     once k * gamma leaves the bound, so the result is a finite exact element.
+    Equal arguments get the same element, whose series keep their memos
+    (see series) from one product chain to the next.
     """
     _check_keys(q, gamma)
     _check_keys(q, bound)
@@ -339,9 +350,12 @@ def verify_factorization(
             raise TruncationMismatchError("reference computed with different truncation")
     lhs = reference if reference is not None else trivial_dt(q, bound, v_max)
     rhs = factorization_product(q, order, bound, v_max)
+    # series equal at the working cutoff are equal at v_max; only the others are cut
+    left, right = lhs.terms, rhs.terms
+    differ = [g for g in left.keys() | right.keys() if left.get(g) != right.get(g)]
     mismatches = []
-    for g in sorted(lhs.terms.keys() | rhs.terms.keys(), key=lambda g: (g.height, g.values)):
-        a, b = _cut(lhs.terms.get(g), v_max), _cut(rhs.terms.get(g), v_max)
+    for g in sorted(differ, key=lambda g: (g.height, g.values)):
+        a, b = _cut(left.get(g), v_max), _cut(right.get(g), v_max)
         if a != b:
             mismatches.append((g, VSeries(v_max, *a), VSeries(v_max, *b)))
     return VerificationReport(

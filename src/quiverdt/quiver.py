@@ -47,6 +47,10 @@ class DimVector:
                     f"dimension vector entries must be non-negative integers, got {x!r}"
                 )
 
+    def __hash__(self) -> int:
+        # equal vectors have equal values; the vertex tuple is left to __eq__
+        return hash(self.values)
+
     def __add__(self, other: DimVector) -> DimVector:
         self._check(other)
         return DimVector(self.vertices, tuple(a + b for a, b in zip(self.values, other.values)))
@@ -119,6 +123,8 @@ class Quiver:
     is_contraction: bool = False
     _vindex: dict = field(init=False, repr=False, compare=False)
     _arrow_pairs: tuple = field(init=False, repr=False, compare=False)
+    # the topological vertex order, once one has been found
+    _topo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -280,8 +286,11 @@ def topological_vertex_order(q: Quiver) -> tuple[str, ...]:
     """Order vertices so every arrow's head precedes its tail.
 
     Ties are broken by input vertex order.  Raises CyclicQuiverError with
-    a shortest directed cycle as witness when no such order exists.
+    a shortest directed cycle as witness when no such order exists.  A
+    quiver never changes, so its order is sorted once and then kept.
     """
+    if q._topo is not None:
+        return q._topo
     succ: list[list[int]] = [[] for _ in q.vertices]
     for t, h in q._arrow_pairs:
         succ[h].append(t)
@@ -290,7 +299,9 @@ def topological_vertex_order(q: Quiver) -> tuple[str, ...]:
         witness = shortest_directed_cycle(q)
         assert witness is not None
         raise CyclicQuiverError(witness)
-    return tuple(q.vertices[i] for i in out)
+    order = tuple(q.vertices[i] for i in out)
+    object.__setattr__(q, "_topo", order)
+    return order
 
 
 def euler_form(q: Quiver, g1: DimVector, g2: DimVector) -> int:

@@ -29,12 +29,18 @@ the top digit leaves the width or the digits do not sum to the product's
 value at v = 1; this catches most wraps a wrong bound would cause, but not
 one whose carries cancel (true digits 200, -257, 57 at B = 8 unpack as
 -56, 0, 56).
+
+A series is immutable, so facts about it are computed once and kept with
+it: its _memo holds [L1, Linf, width, halves], the norms filled on first
+use and the packed halves for the last digit width it was packed at.  A
+dilogarithm chain hands most series through many products unchanged
+(see algebra), and each is measured and packed once, not once per product.
 """
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping
 
@@ -110,6 +116,8 @@ class VSeries:
     v_max: int
     min_exp: int = 0
     coeffs: tuple[int, ...] = ()
+    # [L1, Linf, width, halves at width] once measured (see _measure and PackedSum.pack)
+    _memo: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
@@ -121,6 +129,17 @@ class VSeries:
         min_exp, coeffs = _trim(self.v_max, self.min_exp, coeffs)
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _canonical(cls, v_max: int, min_exp: int, coeffs: tuple[int, ...]) -> VSeries:
+        """The series of a run that is already canonical: a tuple of ints,
+        cut at v_max and with no zero at either end (as _trim returns it).
+
+        Internal: it skips the checks and the trim of __post_init__.
+        """
+        s = object.__new__(cls)
+        s.__dict__.update(v_max=v_max, min_exp=min_exp, coeffs=coeffs, _memo=None)
+        return s
 
     @classmethod
     def zero(cls, v_max: int) -> VSeries:
@@ -201,8 +220,8 @@ class VSeries:
         a, b = self.coeffs[:keep], other.coeffs[:keep]
         if not a or not b:
             return VSeries(self.v_max)
-        width = _width([a], [b])
-        acc = PackedSum(width, {})
+        width = _bound_width([_norms(a)], [_norms(b)])
+        acc = PackedSum(width)
         acc.add_product(self.min_exp + other.min_exp, _halves(a, width), _halves(b, width), 1)
         return acc.series(self.v_max)
 
@@ -245,21 +264,35 @@ class VSeries:
         return " ".join(parts)
 
 
-def _width(xs, ys) -> int:
-    """Digit width for sums of products a * b of coefficient runs, a from xs and b from ys.
+def _norms(coeffs) -> tuple[int, int]:
+    """L1 and Linf of a coefficient run."""
+    mags = list(map(abs, coeffs))
+    return sum(mags), max(mags, default=0)
+
+
+def _measure(s: VSeries) -> list:
+    """s's memo, created with its norms when s has none yet."""
+    memo = [*_norms(s.coeffs), 0, ()]
+    object.__setattr__(s, "_memo", memo)
+    return memo
+
+
+def _bound_width(nx, ny) -> int:
+    """Digit width for sums of products a * b of runs, a from one side and b
+    from the other, given each side's (L1, Linf) pairs.
 
     In each sum every a meets at most one b and every b at most one a, so
     each coefficient of a sum is bounded by
     min(sum L1(a) * max Linf(b), max Linf(a) * sum L1(b)).
     """
-    l1x, l1y = [sum(map(abs, a)) for a in xs], [sum(map(abs, b)) for b in ys]
-    lix, liy = [max(map(abs, a), default=0) for a in xs], [max(map(abs, b), default=0) for b in ys]
-    return _digit_width(min(sum(l1x) * max(liy, default=0), max(lix, default=0) * sum(l1y)))
+    return _digit_width(min(sum(m[0] for m in nx) * max((m[1] for m in ny), default=0),
+                            max((m[1] for m in nx), default=0) * sum(m[0] for m in ny)))
 
 
 def product_width(xs, ys) -> int:
-    """Digit width for sums of series products a * b, a from xs and b from ys (see _width)."""
-    return _width([s.coeffs for s in xs], [s.coeffs for s in ys])
+    """Digit width for sums of series products a * b, a from xs and b from ys (see
+    _bound_width); each series' norms come from its memo."""
+    return _bound_width([s._memo or _measure(s) for s in xs], [s._memo or _measure(s) for s in ys])
 
 
 def _halves(coeffs, width: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -283,23 +316,22 @@ class PackedSum:
     as [low, high, value, check]: digit 0 is exponent low, high is the top
     exponent any product reached, value is the packed sum and check its
     value at v = 1.  Every digit must stay within the bound the width was
-    chosen for (see product_width).  Packed operands are memoized in packs,
-    keyed by identity; sums of one product may share it.
+    chosen for (see product_width).
     """
 
-    __slots__ = ("width", "packs", "classes")
+    __slots__ = ("width", "classes")
 
-    def __init__(self, width: int, packs: dict):
-        self.width, self.packs = width, packs
+    def __init__(self, width: int):
+        self.width = width
         self.classes: list = [None, None]
 
     def pack(self, s: VSeries) -> tuple[tuple[int, int, int, int], ...]:
-        """The parity halves of s packed at 2^width (see _halves)."""
-        hit = self.packs.get(id(s))
-        if hit is None:
-            # the series is kept alive with its entry, so its id cannot be reused
-            hit = self.packs[id(s)] = (_halves(s.coeffs, self.width), s)
-        return hit[0]
+        """The parity halves of s packed at 2^width (see _halves), kept in s's
+        memo until s is packed at another width."""
+        memo = s._memo or _measure(s)
+        if memo[2] != self.width:
+            memo[3], memo[2] = _halves(s.coeffs, self.width), self.width
+        return memo[3]
 
     def add(self, low: int, n: int, value: int, check: int) -> None:
         """Add a packed run of n digits in q-steps, digit 0 at exponent low,
@@ -335,12 +367,12 @@ class PackedSum:
             if low <= v_max:  # digits past v_max are unpacked for the checks, then cut
                 runs.append((low, digits[:(v_max - low) // 2 + 1]))
         if not runs:
-            return VSeries(v_max)
+            return VSeries._canonical(v_max, 0, ())
         low = min(lo for lo, _ in runs)
         out = [0] * (max(lo + 2 * len(d) for lo, d in runs) - 1 - low)
         for lo, digits in runs:
             out[lo - low:lo - low + 2 * len(digits) - 1:2] = digits
-        return VSeries(v_max, low, tuple(out))
+        return VSeries._canonical(v_max, *_trim(v_max, low, tuple(out)))
 
 
 def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int, v_max: int) -> None:

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from quiverdt import (
     BoundExceededError,
+    DimVector,
     InvalidInputError,
     InvalidOrderError,
     RootOrder,
@@ -410,6 +411,75 @@ def test_dilog_of_zero_rejected(a2):
 def test_dilog_outside_bound_is_identity(a2):
     el = dilog(a2, a2.vector([3, 0]), bound_of(a2, 2), V_MAX)
     assert el.support() == [a2.zero()]
+
+
+def test_dilog_is_memoized_with_a_bounded_cache(a3):
+    bound = bound_of(a3, 2)
+    el = dilog(a3, a3.unit("2"), bound, V_MAX)
+    again = dilog(oracles.build_quiver(["1", "2", "3"], [("a", "2", "1"), ("b", "3", "2")]),
+                  a3.vector([0, 1, 0]), a3.vector([2, 2, 2]), V_MAX)
+    assert again is el
+    assert dilog(a3, a3.unit("2"), bound, V_MAX + 2) is not el
+    assert 0 < dilog.cache_info().maxsize < 10**6
+
+
+def test_dilog_chain_measures_and_packs_each_series_once(quiver_dir, monkeypatch):
+    """Over trivial_dt and every factorization product of a3 at bound 2, each
+    series has its norms computed at most once, and its parity halves at most
+    once per digit width."""
+    q = parse_quiver((quiver_dir / "a3.json").read_text())
+    bound = bound_of(q, 2)
+    measured, packed, packing = [], [], []
+    measure, pack, halves = series_mod._measure, series_mod.PackedSum.pack, series_mod._halves
+
+    def counted_measure(s):
+        measured.append(s)  # held, so no id is reused
+        return measure(s)
+
+    def counted_pack(acc, s):
+        packing.append(s)
+        try:
+            return pack(acc, s)
+        finally:
+            packing.pop()
+
+    def counted_halves(coeffs, width):
+        packed.append((packing[-1], width))
+        return halves(coeffs, width)
+
+    monkeypatch.setattr(series_mod, "_measure", counted_measure)
+    monkeypatch.setattr(series_mod.PackedSum, "pack", counted_pack)
+    monkeypatch.setattr(series_mod, "_halves", counted_halves)
+    trivial_dt(q, bound, V_MAX)
+    for p in enumerate_partitions(q, admissible_only=True):
+        factorization_product(q, admissible_total_order(q, p), bound, V_MAX)
+    assert measured and packed
+    assert len({id(s) for s in measured}) == len(measured)
+    assert len({(id(s), w) for s, w in packed}) == len(packed)
+
+
+def test_dim_vector_keys_hash_by_values_and_compare_by_vertices(a3):
+    g, same = a3.vector([1, 0, 2]), DimVector(("1", "2", "3"), (1, 0, 2))
+    other = DimVector(("x", "y", "z"), (1, 0, 2))
+    assert g == same and hash(g) == hash(same)
+    assert g != other
+    keys = {g: "a3", other: "xyz"}
+    assert len(keys) == 2 and keys[same] == "a3" and keys[other] == "xyz"
+
+
+def test_qt_multiply_stores_no_zero_series(a2):
+    """Two products that cancel on y_(1,1) leave no term there."""
+    b = bound_of(a2, 2)
+    e1, e2 = a2.unit("1"), a2.unit("2")
+    work = working_v_max(a2, b, V_MAX)
+    s = skew_form(a2, e1, e2)
+    # y_1 * y_2 = -v^s y_(1,1) and y_2 * (-v^(2s) y_1) = v^(2s) v^(-s) y_(1,1)
+    x = monomial(a2, e1, 1, b, V_MAX) + monomial(a2, e2, 1, b, V_MAX)
+    y = monomial(a2, e2, 1, b, V_MAX) + monomial(a2, e1, VSeries(work, 2 * s, (-1,)), b, V_MAX)
+    got = qt_multiply(x, y)
+    assert a2.vector([1, 1]) not in got.terms
+    assert all(c.coeffs for c in got.terms.values())
+    assert as_values(got) == oracles.dense_qt_multiply(x, y)
 
 
 def test_trivial_dt_constant_term(a3):

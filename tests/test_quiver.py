@@ -146,6 +146,26 @@ def test_two_cycle_detected():
     assert shortest_directed_cycle(q) == ("1", "2", "1")
 
 
+def test_topological_order_is_sorted_once_per_quiver(a3, monkeypatch):
+    import quiverdt.quiver as quiver_mod
+
+    sorts = []
+    kahn = quiver_mod._kahn_order
+    monkeypatch.setattr(quiver_mod, "_kahn_order", lambda succ: sorts.append(1) or kahn(succ))
+    first = topological_vertex_order(a3)
+    assert topological_vertex_order(a3) is first and len(sorts) == 1
+    assert a3 == oracles.build_quiver(["1", "2", "3"], [("a", "2", "1"), ("b", "3", "2")])
+    assert "_topo" not in repr(a3)
+
+
+def test_cyclic_quiver_raises_on_every_call():
+    q = oracles.build_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    for _ in range(2):
+        with pytest.raises(CyclicQuiverError) as exc:
+            topological_vertex_order(q)
+        assert exc.value.witness == ("1", "2", "3", "1")
+
+
 def test_shortest_cycle_none_when_acyclic(a3):
     assert shortest_directed_cycle(a3) is None
 

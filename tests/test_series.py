@@ -70,6 +70,29 @@ def test_mul_matches_naive_convolution(a, b, v_max):
     assert list(got.items()) == want
 
 
+@given(coeffs=st.lists(wide_coeffs | st.just(0), max_size=12), min_exp=st.integers(-12, 14),
+       v_max=st.integers(-10, 28))
+@settings(max_examples=300)
+def test_canonical_constructor_matches_the_validated_one(coeffs, min_exp, v_max):
+    want = VSeries(v_max, min_exp, coeffs)
+    got = VSeries._canonical(v_max, *series_mod._trim(v_max, min_exp, tuple(coeffs)))
+    assert (got.v_max, got.min_exp, got.coeffs) == (want.v_max, want.min_exp, want.coeffs)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got._memo is None
+
+
+def test_memo_keeps_norms_and_halves_at_the_last_width():
+    s = series({0: 3, 2: -5, 3: 1})
+    acc8, acc16 = series_mod.PackedSum(8), series_mod.PackedSum(16)
+    assert s._memo is None
+    assert series_mod.product_width([s], [s]) == 8  # min(9 * 5, 5 * 9) = 45
+    assert s._memo[:2] == [9, 5]
+    halves = acc8.pack(s)
+    assert acc8.pack(s) is halves and s._memo[2:] == [8, halves]
+    assert acc16.pack(s) == series_mod._halves(s.coeffs, 16) and s._memo[2] == 16
+    assert s == series({0: 3, 2: -5, 3: 1}) and "_memo" not in repr(s)
+
+
 def test_packed_mul_keeps_the_term_exactly_at_v_max():
     a = series({-3: 2**200, 5: -1}, v_max=7)
     b = series({-4: 3, 2: 1, 3: 4, 7: -(2**70)}, v_max=7)
