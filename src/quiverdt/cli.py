@@ -395,7 +395,7 @@ def cmd_codim(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_betti(args: argparse.Namespace, rep: Reporter) -> int:
     q, p, gamma, _ = _strata_inputs(args)
     verdict = betti_identity_check(q, p, gamma, _v_max(args), cap=args.cap)
-    lists = [inner_lists(term.series) for term in verdict.terms]
+    lists = [[list(b) for b in term.lists] for term in verdict.terms]
     rep.text(f"lhs = product of P_k over gamma={gamma} entries")
     for term, m in zip(verdict.terms, lists):
         factors = " ".join(f"P_{x}" for x in term.factors) or "1"

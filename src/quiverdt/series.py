@@ -42,6 +42,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Mapping
 
 from .errors import InconsistencyError, InvalidInputError, TruncationMismatchError
@@ -386,20 +387,46 @@ def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int,
     acc.add_product(low, acc.pack(a), acc.pack(b), sign)
 
 
+def _divide(s: VSeries, js) -> VSeries:
+    """s / prod (1 - q^j) over js, for s in whole powers of q.
+
+    Dividing by 1 - q^j is c[i] += c[i - j] in ascending order over the
+    run c of q-coefficients, that is one running sum over each residue
+    class mod j: exact integer additions with no digit width to outgrow.
+    The run is extended to v_max first, since the quotient is a series.
+    """
+    if s.min_exp % 2 or any(s.coeffs[1::2]):
+        raise InconsistencyError(f"series from v^{s.min_exp} has odd v exponents; "
+                                 "only a q-series divides by 1 - q^j")
+    if not s.coeffs:
+        return s
+    c = list(s.coeffs[::2])
+    c += [0] * ((s.v_max - s.min_exp) // 2 + 1 - len(c))
+    for j in js:
+        for r in range(min(j, len(c) - j)):  # classes of one term stay as they are
+            c[r::j] = accumulate(c[r::j])
+    out = [0] * (2 * len(c) - 1)
+    out[::2] = c
+    return VSeries._canonical(s.v_max, *_trim(s.v_max, s.min_exp, tuple(out)))
+
+
+def times_poincare(s: VSeries, k: int) -> VSeries:
+    """s * P_k, that is s divided by (1 - q)(1 - q^2)...(1 - q^k), for s in
+    whole powers of q; any other s raises InconsistencyError."""
+    if k < 0:
+        raise InvalidInputError(f"negative index {k}")
+    return _divide(s, range(1, k + 1))
+
+
 @lru_cache(maxsize=None)
 def poincare_series(k: int, v_max: int) -> VSeries:
     """P_k: the inverse of the product of (1 - q^j) for j = 1..k.
 
     P_0 is 1.  The coefficient of q^n is the number of partitions of n
-    into parts of size at most k.  P_k is P_(k-1) divided by 1 - q^k, that
-    is c[e] += c[e - 2k] in ascending v exponent e.
+    into parts of size at most k.  P_k is P_(k-1) divided by 1 - q^k.
     """
     if k < 0:
         raise InvalidInputError(f"negative index {k}")
     if k == 0:
         return VSeries.one(v_max)
-    c = list(poincare_series(k - 1, v_max).coeffs)  # starts at v^0
-    c += [0] * (v_max + 1 - len(c))
-    for e in range(2 * k, v_max + 1):
-        c[e] += c[e - 2 * k]
-    return VSeries(v_max, 0, tuple(c))
+    return _divide(poincare_series(k - 1, v_max), (k,))

@@ -15,6 +15,17 @@ the stratum's.  The complex codimension of the stratum of m solves
 and the sign must equal (-1) to the power sum(m_u * (height_u - 1)).
 Both are checked and any failure is raised as an internal inconsistency.
 
+The Betti identity multiplies series only by P_k = 1/(q;q)_k, which is
+exact division by (1 - q)...(1 - q^k): series.times_poincare does it as one
+running sum per residue class mod j for each 1 - q^j, in exact integers.
+A check keys every product of P factors by its sorted factor tuple and
+builds each prefix once, from the one-shorter prefix by one division, so
+the terms share their prefixes with each other and with the left side.
+The right side is summed into one coefficient list.  On the betti-long
+benchmark (seed 0, Python 3.11 on 2 vCPUs) this took the check from
+2,354 Kronecker products per round to none, and its throughput from
+about 44 to 114 verdicts/s (BENCH_10.json).
+
 Orbit decompositions of strata are implemented for type A only: there
 every root is an interval, so its restriction to a block is a root of
 that block or zero.
@@ -22,6 +33,7 @@ that block or zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .dynkin import (
@@ -49,7 +61,7 @@ from .partitions import (
     order_blocks,
 )
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
-from .series import VSeries, poincare_series
+from .series import VSeries, poincare_series, times_poincare
 
 
 # a block's (root, multiplicity) pairs, in the block's inner order
@@ -88,6 +100,7 @@ class BettiTerm:
     series: KostantSeries
     codim: int
     factors: tuple[int, ...]
+    lists: tuple[tuple[int, ...], ...]  # per-block multiplicities, in each block's inner order
 
 
 @dataclass(frozen=True)
@@ -207,12 +220,30 @@ def _solve_codim(nf: MonomialNormalForm, kps: Sequence[KostantPartition], contex
     return numerator // 2
 
 
-def _block_codims(m: KostantSeries, lists: Sequence[BlockList]) -> tuple[int, ...]:
-    """Orbit stratum codimension of each block's Kostant partition in m."""
-    return tuple(
-        _solve_codim(_normal_form(b, [(r.values, k) for r, k in lst]), (kp,), f"block {b.vertices}")
-        for b, kp, lst in zip(m.partition.induced, m.per_block, lists)
-    )
+def _block_forms(p: SubquiverPartition, gamma: DimVector) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each block's restriction of gamma, with the sign and v exponent of its
+    simple-root monomial.  Every Kostant series of gamma on p multiplies out
+    to these monomials block by block, so they are worked out once per call."""
+    forms = []
+    for b in p.induced:
+        values = gamma.restrict(b.vertices).values
+        forms.append((values, *_simple_monomial_form(b, values)))
+    return forms
+
+
+def _block_codims(
+    m: KostantSeries, lists: Sequence[BlockList], forms: Sequence[tuple[tuple[int, ...], int, int]]
+) -> tuple[int, ...]:
+    """Orbit stratum codimension of each block's Kostant partition in m, given
+    _block_forms of m's partition and gamma."""
+    codims = []
+    for b, kp, lst, (values, s_sign, s_power) in zip(m.partition.induced, m.per_block, lists, forms):
+        sign, power, total = _product_form(b, [(r.values, k) for r, k in lst])
+        if total != values:
+            raise InconsistencyError(f"block {b.vertices} multiplies out to {total}, not {values}")
+        nf = MonomialNormalForm(sign * s_sign, power - s_power, DimVector(b.vertices, total))
+        codims.append(_solve_codim(nf, (kp,), f"block {b.vertices}"))
+    return tuple(codims)
 
 
 def codim_of_stratum(
@@ -228,7 +259,7 @@ def codim_of_stratum(
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
     lists = _block_lists(m, [reineke_inner_order(b) for b in m.partition.induced])
-    blocks = _block_codims(m, lists)
+    blocks = _block_codims(m, lists, _block_forms(m.partition, gamma))
     try:
         codim = _solve_codim(_stratum_form(q, p, m, lists), m.per_block, f"stratum {m}")
     except NotAdmissibleError:
@@ -256,28 +287,41 @@ def betti_identity_check(
     The product of P_(gamma_i) over vertices must equal the sum over
     Kostant series of q^codim times the product of P factors of the
     multiplicities.  Admissibility is not required; codimensions come
-    from the per-block orbit computation.
+    from the per-block orbit computation.  Each product of P factors is
+    keyed by its sorted factor tuple and built from its one-shorter prefix
+    by one times_poincare division, so every prefix is built once per
+    call, the left side's included.
     """
     _check_keys(q, gamma)
-    lhs = VSeries.one(v_max)
-    for x in gamma.values:
-        lhs = lhs * poincare_series(x, v_max)
-    rhs = VSeries.zero(v_max)
-    terms = []
     inners = [reineke_inner_order(b) for b in p.induced]
+    forms = _block_forms(p, gamma)
+    terms = []
     for m in kostant_series(q, p, gamma, cap=cap):
-        codim = sum(_block_codims(m, _block_lists(m, inners)))
-        factors = tuple(sorted(x for x in m.multiplicities() if x))
-        prod = VSeries.one(v_max)
-        for x in factors:
-            prod = prod * poincare_series(x, v_max)
-        rhs = rhs + prod.shift(2 * codim)
-        terms.append(BettiTerm(m, codim, factors))
+        lists = _block_lists(m, inners)
+        terms.append(BettiTerm(m, sum(_block_codims(m, lists, forms)),
+                               tuple(sorted(filter(None, m.multiplicities()))),
+                               tuple(tuple(k for _, k in lst) for lst in lists)))
+    key = tuple(sorted(filter(None, gamma.values)))
+    products = {(): VSeries.one(v_max)}
+    for factors in [key] + [t.factors for t in terms]:
+        for n, k in enumerate(factors):
+            if factors[:n + 1] not in products:
+                products[factors[:n + 1]] = (
+                    times_poincare(products[factors[:n]], k) if n else poincare_series(k, v_max))
+    lhs = products[key]
+    # every product starts at v^0 and every codim is >= 0
+    out = [0] * (v_max + 1)
+    for t in terms:
+        lo = 2 * t.codim
+        run = products[t.factors].coeffs[:max(0, v_max + 1 - lo)]
+        out[lo:lo + len(run)] = map(add, out[lo:lo + len(run)], run)
+    rhs = VSeries(v_max, 0, tuple(out))
     diffs = []
-    for e in range(min(lhs.min_exp, rhs.min_exp, 0), v_max + 1):
-        a, b = lhs.coefficient(e), rhs.coefficient(e)
-        if a != b:
-            diffs.append((e, a, b))
+    if lhs != rhs:
+        for e in range(min(lhs.min_exp, rhs.min_exp, 0), v_max + 1):
+            a, b = lhs.coefficient(e), rhs.coefficient(e)
+            if a != b:
+                diffs.append((e, a, b))
     return BettiVerdict(lhs, rhs, tuple(terms), not diffs, tuple(diffs))
 
 

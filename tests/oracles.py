@@ -11,11 +11,17 @@ from collections import deque
 from itertools import permutations
 
 from quiverdt import (
+    BettiTerm,
+    BettiVerdict,
     InvalidInputError,
     OrderVerdict,
     Quiver,
     VSeries,
+    codim_of_stratum,
     expected_root_multiset,
+    inner_lists,
+    kostant_series,
+    poincare_series,
     validate_order,
 )
 from quiverdt.quiver import Arrow
@@ -111,6 +117,32 @@ def coefficient_mismatches(lhs, rhs) -> list:
     gammas = sorted(lhs.terms.keys() | rhs.terms.keys(), key=lambda g: (g.height, g.values))
     return [(g, lhs.coefficient(g), rhs.coefficient(g)) for g in gammas
             if lhs.coefficient(g) != rhs.coefficient(g)]
+
+
+def naive_betti(q: Quiver, p, gamma, v_max: int) -> BettiVerdict:
+    """The Betti identity check term by term, one series product per P factor.
+
+    Each term's codim is the sum of codim_of_stratum's block codims, and its
+    product of P factors is multiplied out afresh; the diffs walk every
+    exponent from min(lhs, rhs, v^0) to v_max.
+    """
+    lhs = VSeries.one(v_max)
+    for x in gamma.values:
+        lhs = lhs * poincare_series(x, v_max)
+    rhs = VSeries.zero(v_max)
+    terms = []
+    for m in kostant_series(q, p, gamma):
+        codim = sum(codim_of_stratum(q, p, m, gamma).block_codims)
+        factors = tuple(sorted(x for x in m.multiplicities() if x))
+        prod = VSeries.one(v_max)
+        for x in factors:
+            prod = prod * poincare_series(x, v_max)
+        rhs = rhs + prod.shift(2 * codim)
+        terms.append(BettiTerm(m, codim, factors, tuple(map(tuple, inner_lists(m)))))
+    diffs = tuple((e, lhs.coefficient(e), rhs.coefficient(e))
+                  for e in range(min(lhs.min_exp, rhs.min_exp, 0), v_max + 1)
+                  if lhs.coefficient(e) != rhs.coefficient(e))
+    return BettiVerdict(lhs, rhs, tuple(terms), not diffs, diffs)
 
 
 def cartan_matrix(q: Quiver) -> list[list[int]]:

@@ -493,3 +493,20 @@ def test_betti_example_shares_inner_lists_between_outputs(capsys, a3_path, monke
                        "--gamma", '{"1":2,"2":3,"3":2}')
     assert code == 0 and out.count("  + q^") == 3
     assert len(calls) <= 8
+
+
+def test_betti_example_orders_each_block_once(capsys, a3_path, monkeypatch):
+    """README example: the check's one inner order per block also formats every term."""
+    from quiverdt import ordering, strata
+
+    calls = []
+    real = ordering.reineke_inner_order
+    for module in (cli, ordering, strata):
+        monkeypatch.setattr(module, "reineke_inner_order",
+                            lambda block: calls.append(block) or real(block))
+    for fmt in ("text", "jsonl"):
+        calls.clear()
+        code, out, _ = run(capsys, "betti", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
+                           "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
+        assert code == 0 and "[[2], [1, 1, 2]]" in out
+        assert len(calls) == 2

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from quiverdt import VSeries, poincare_series
+from quiverdt.series import times_poincare
 from quiverdt import series as series_mod
 from quiverdt.errors import InconsistencyError, InvalidInputError
 
@@ -215,6 +216,46 @@ def test_poincare_coefficients_are_partition_counts():
         pk = poincare_series(k, 60)
         for n in range(31):
             assert pk.q_coefficient(n) == oracles.brute_partition_count(n, k)
+
+
+def q_series(v_max, low, q_coeffs):
+    """The series sum c_i q^(low + i) over q_coeffs."""
+    return VSeries(v_max, 2 * low, tuple(c for x in q_coeffs for c in (x, 0)))
+
+
+# low >= 0: for s with a negative exponent, s * P_k would need P_k past v_max
+@given(q_coeffs=st.lists(wide_coeffs, max_size=30), low=st.integers(0, 12),
+       k=st.integers(0, 12), v_max=st.integers(0, 41))
+@settings(max_examples=200)
+@example(q_coeffs=[5, -3, 0, 7], low=2, k=12, v_max=7)  # run past an odd cutoff
+@example(q_coeffs=[-1, 2], low=1, k=5, v_max=40)  # run well inside an even cutoff
+def test_times_poincare_matches_the_kronecker_product(q_coeffs, low, k, v_max):
+    s = q_series(v_max, low, q_coeffs)
+    assert times_poincare(s, k) == s * poincare_series(k, v_max)
+
+
+@pytest.mark.parametrize("s", [VSeries(20, 1, (1,)), VSeries(20, 0, (1, 1)), VSeries(20, -2, (3, 0, 0, 4))])
+def test_times_poincare_refuses_odd_exponents(s):
+    with pytest.raises(InconsistencyError, match="odd v exponents"):
+        times_poincare(s, 2)
+
+
+def test_times_poincare_edges():
+    assert times_poincare(VSeries.zero(9), 4) == VSeries.zero(9)
+    assert times_poincare(VSeries.one(9), 0) == VSeries.one(9)
+    assert times_poincare(VSeries.one(9), 3) == poincare_series(3, 9)
+    with pytest.raises(InvalidInputError):
+        times_poincare(VSeries.one(9), -1)
+
+
+def test_poincare_divides_once_per_new_index(monkeypatch):
+    calls = []
+    real = series_mod._divide
+    monkeypatch.setattr(series_mod, "_divide", lambda s, js: calls.append(tuple(js)) or real(s, js))
+    series_mod.poincare_series.cache_clear()
+    poincare_series(5, 30)
+    poincare_series(7, 30)
+    assert calls == [(1,), (2,), (3,), (4,), (5,), (6,), (7,)]
 
 
 def test_coefficient_past_truncation_rejected():

@@ -23,6 +23,7 @@ from quiverdt import (
     kostant_series,
     make_partition,
     monomial_normal_form,
+    parse_quiver,
     poincare_series,
     series_from_inner_lists,
     stratum_orbit_decomposition,
@@ -338,6 +339,63 @@ def test_betti_sweep_small_gammas(a3_sink_mid, d4, rng):
             for _ in range(3):
                 g = q.vector({v: rng.randint(0, 3) for v in q.vertices})
                 assert betti_identity_check(q, p, g, 30).equal
+
+
+def test_betti_matches_naive_oracle_on_every_quivers_partition(quiver_dir):
+    for path in sorted(quiver_dir.glob("*.json")):
+        q = parse_quiver(path.read_text())
+        for p in enumerate_partitions(q):
+            for top in (1, 2):
+                g = q.vector({v: top for v in q.vertices})
+                v = betti_identity_check(q, p, g, 40)
+                assert v == oracles.naive_betti(q, p, g, 40)
+                assert v.equal
+
+
+@pytest.mark.parametrize("name, block, values, q_order", [
+    ("a3", ("1", "2", "3"), [3, 4, 3], 80),
+    ("a4", ("1", "2", "3"), [3, 7, 3, 6], 100),
+    ("d4", ("c", "1", "2"), [5, 4, 3, 6], 120),
+])
+def test_betti_matches_naive_oracle_on_long_series(request, name, block, values, q_order):
+    """The betti-long shapes: one A3 block, gamma entries 3-7, q-order 80-120."""
+    q = request.getfixturevalue(name)
+    p = make_partition(q, [list(block)] + [[v] for v in q.vertices if v not in block])
+    g = q.vector(values)
+    v = betti_identity_check(q, p, g, 2 * q_order)
+    assert v == oracles.naive_betti(q, p, g, 2 * q_order)
+    assert v.equal and len(v.terms) >= 10
+
+
+def test_betti_wrong_codim_gives_one_diff_list_from_both_engines(a3, monkeypatch):
+    import quiverdt.strata as strata
+
+    real = strata._block_codims
+    monkeypatch.setattr(strata, "_block_codims",
+                        lambda m, lists, forms: tuple(c + 1 for c in real(m, lists, forms)))
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    g = a3.vector([2, 3, 2])
+    v = betti_identity_check(a3, p, g, 40)
+    assert not v.equal and v.diffs
+    assert v == oracles.naive_betti(a3, p, g, 40)
+
+
+def test_betti_divides_once_per_distinct_factor_prefix(a3, d4, monkeypatch):
+    import quiverdt.strata as strata
+
+    calls = []
+    real = strata.times_poincare
+    monkeypatch.setattr(strata, "times_poincare", lambda s, k: calls.append(k) or real(s, k))
+    for q, blocks, values in ((a3, [["1"], ["2", "3"]], [2, 3, 2]),
+                              (a3, [["1", "2", "3"]], [4, 6, 4]),
+                              (d4, [["c", "1", "2"], ["3"]], [5, 3, 4, 2])):
+        p = make_partition(q, blocks)
+        calls.clear()
+        v = betti_identity_check(q, p, q.vector(values), 60)
+        keys = [tuple(sorted(x for x in values if x))] + [t.factors for t in v.terms]
+        prefixes = {f[:n] for f in keys for n in range(2, len(f) + 1)}
+        assert v.equal and len(calls) == len(prefixes)
+        assert len(calls) < sum(len(f) - 1 for f in keys)
 
 
 def test_inner_lists_roundtrip(a3, rng):
