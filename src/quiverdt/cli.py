@@ -379,7 +379,7 @@ def cmd_codim(args: argparse.Namespace, rep: Reporter) -> int:
         rep.text(f"block {j + 1} {{{','.join(p.blocks[j])}}} inner root order: {roots}")
     for m in rows:
         report = codim_of_stratum(q, p, m, gamma)
-        lists = inner_lists(m)
+        lists = [list(b) for b in report.lists]
         rep.text(f"m={lists}  codim={report.codim}  sign_parity={report.sign_exponent_parity}")
         rep.row(
             type="codim",

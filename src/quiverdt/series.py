@@ -213,6 +213,10 @@ class VSeries:
         return self + (-other)
 
     def __mul__(self, other: VSeries | int) -> VSeries:
+        """The product of the coefficient runs, cut at v_max.  It is exact to
+        v_max for exact polynomials; when a factor stands for a longer series
+        cut at v_max, only up to v_max + min(0, self.min_exp, other.min_exp).
+        """
         if isinstance(other, int):
             return VSeries(self.v_max, self.min_exp, tuple(other * c for c in self.coeffs))
         self._check(other)

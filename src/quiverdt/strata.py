@@ -84,6 +84,7 @@ class CodimReport:
     codim: int
     sign_exponent_parity: int
     block_codims: tuple[int, ...]  # orbit codimensions, in the series' block order
+    lists: tuple[tuple[int, ...], ...]  # per-block multiplicities, in each block's inner order
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,8 @@ def codim_of_stratum(
         codim = _solve_codim(_stratum_form(q, p, m, lists), m.per_block, f"stratum {m}")
     except NotAdmissibleError:
         codim = sum(blocks)
-    return CodimReport(m, gamma, codim, _sign_parity(m.per_block), blocks)
+    return CodimReport(m, gamma, codim, _sign_parity(m.per_block), blocks,
+                       tuple(tuple(k for _, k in lst) for lst in lists))
 
 
 def codim_additivity_check(

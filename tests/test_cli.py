@@ -510,3 +510,46 @@ def test_betti_example_orders_each_block_once(capsys, a3_path, monkeypatch):
                            "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
         assert code == 0 and "[[2], [1, 1, 2]]" in out
         assert len(calls) == 2
+
+
+def test_codim_example_orders_each_block_once_per_series(capsys, a3_path, monkeypatch):
+    """README example: 2 inner orders for the header, then 2 per series inside
+    codim_of_stratum, whose report lists also format the output."""
+    from quiverdt import ordering, strata
+
+    calls = []
+    real = ordering.reineke_inner_order
+    for module in (cli, ordering, strata):
+        monkeypatch.setattr(module, "reineke_inner_order",
+                            lambda block: calls.append(block) or real(block))
+    for fmt in ("text", "jsonl"):
+        calls.clear()
+        code, out, _ = run(capsys, "codim", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
+                           "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
+        assert code == 0 and "[[2], [1, 1, 2]]" in out
+        assert len(calls) == 8
+
+
+def test_codim_of_two_huge_entries_in_one_block_stops_at_the_cap(capsys, quiver_dir):
+    """Every multiplicity of the root (1,1) is an output, so --cap 5 ends the walk."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "codim", "--quiver", str(quiver_dir / "a2.json"),
+                         "--partition", '[["1","2"]]',
+                         "--gamma", '{"1":3000000,"2":3000000}', "--cap", "5")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and not out
+    assert "more than 5 Kostant partitions" in err
+
+
+def test_e6_one_block_codim_stops_at_the_cap(capsys, tmp_path):
+    """The one-block E6 quiver at gamma = (2,4,6,4,2,3) has 58,984 strata."""
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps({
+        "vertices": list("123456"),
+        "arrows": [{"id": a, "tail": t, "head": h} for a, t, h in
+                   (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5"), ("e", "3", "6"))],
+    }))
+    argv = ["--quiver", str(path), "--partition", '[["1","2","3","4","5","6"]]',
+            "--gamma", '{"1":2,"2":4,"3":6,"4":4,"5":2,"6":3}']
+    code, out, err = run(capsys, "codim", *argv, "--cap", "1000")
+    assert code == 2 and not out and "more than 1000 Kostant partitions" in err

@@ -1,6 +1,8 @@
 """ADE recognition, positive root enumeration, Kostant partitions."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import oracles
@@ -225,3 +227,41 @@ def test_kostant_matches_brute_force_on_lopsided_gammas(a4, d4, rng):
             g = q.vector([rng.choice((0, 0, 1, 5)) for _ in q.vertices])
             got = [tuple(p.multiplicities) for p in kostant_partitions(q, g)]
             assert got == sorted(oracles.brute_kostant(roots, g.values))
+
+
+# one orientation each; E6 has its short leg 6 on the branch vertex 3
+A5 = (list("12345"), [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "4"), ("d", "5", "4")])
+D5 = (list("12345"), [("a", "1", "2"), ("b", "2", "3"), ("c", "4", "3"), ("d", "3", "5")])
+E6 = (list("123456"), [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "4"), ("d", "5", "4"),
+                       ("e", "6", "3")])
+
+
+@pytest.mark.parametrize("shape, draws", [(A5, 6), (D5, 6), (E6, 3)], ids=["A5", "D5", "E6"])
+def test_kostant_matches_brute_force_on_rank_5_and_6(shape, draws, rng):
+    """Only non-simple roots branch; the simple multiplicities are the remainder."""
+    q = oracles.build_quiver(*shape)
+    roots = [r.values for r in positive_roots(q).roots]
+    for _ in range(draws):
+        g = q.vector([rng.randint(0, 2) for _ in q.vertices])
+        got = [tuple(p.multiplicities) for p in kostant_partitions(q, g)]
+        assert got == sorted(oracles.brute_kostant(roots, g.values))
+
+
+@pytest.mark.parametrize("gamma, count", [((1, 2, 3, 2, 1, 2), 622), ((2, 2, 3, 2, 2, 2), 1139)])
+def test_kostant_e6_counts_and_cap(gamma, count):
+    q = oracles.build_quiver(*E6)
+    g = q.vector(list(gamma))
+    assert len(kostant_partitions(q, g)) == count
+    assert len(kostant_partitions(q, g, cap=count)) == count
+    with pytest.raises(EnumerationCapError, match=f"more than {count - 1} "):
+        kostant_partitions(q, g, cap=count - 1)
+
+
+def test_kostant_cap_bounds_the_work():
+    """Every node of the walk leads to an output, so a huge gamma stops at the cap."""
+    q = oracles.build_quiver(*E6)
+    g = q.vector([10**6 * x for x in (1, 2, 3, 2, 1, 2)])
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError):
+        kostant_partitions(q, g, cap=50)
+    assert time.perf_counter() - started < 2.0

@@ -279,3 +279,24 @@ def test_str_rendering():
 def test_from_pairs_roundtrip():
     s = series({-2: 1, 0: -4, 5: 2})
     assert VSeries.from_pairs(24, s.to_pairs()) == s
+
+
+# low < 0: s * P_k is exact only below v_max + min_exp, where s's terms past
+# v_max, which P_k's constant term would carry, are missing
+@given(q_coeffs=st.lists(wide_coeffs, max_size=30), low=st.integers(-12, -1),
+       k=st.integers(0, 12), v_max=st.integers(0, 41))
+@settings(max_examples=200)
+@example(q_coeffs=[1], low=-1, k=1, v_max=4)
+def test_times_poincare_matches_the_kronecker_product_below_its_precision(q_coeffs, low, k, v_max):
+    s = q_series(v_max, low, q_coeffs)
+    got, want = times_poincare(s, k), s * poincare_series(k, v_max)
+    exact = range(2 * low, v_max + min(0, s.min_exp) + 1)
+    assert [got.coefficient(e) for e in exact] == [want.coefficient(e) for e in exact]
+
+
+def test_times_poincare_is_exact_where_the_product_is_cut():
+    """q^-1 * P_1 = q^-1 + 1 + q + ...: the coefficient at v^4 is 1, which the
+    product of v^-2 with P_1 cut at v^4 cannot see (it has no v^6 term)."""
+    s = VSeries(4, -2, (1,))
+    assert times_poincare(s, 1) == VSeries(4, -2, (1, 0, 1, 0, 1, 0, 1))
+    assert (s * poincare_series(1, 4)).coefficient(2) == 1
