@@ -43,6 +43,7 @@ from .strata import (
     betti_identity_check,
     codim_of_stratum,
     inner_lists,
+    inner_positions,
     series_from_inner_lists,
     stratum_orbit_decomposition,
 )
@@ -422,11 +423,12 @@ def cmd_betti(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_orbits(args: argparse.Namespace, rep: Reporter) -> int:
     q, p, gamma, given = _strata_inputs(args)
     rows = kostant_series(q, p, gamma, cap=args.cap) if given is None else [given]
+    positions = inner_positions(rows[0])
     total = 0
     for m in rows:
         orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=args.cap)
         total += len(orbits)
-        lists = inner_lists(m)
+        lists = inner_lists(m, positions)
         rep.text(f"m={lists}: {len(orbits)} orbits")
         for full in orbits:
             rep.text("   " + str(full))

@@ -120,6 +120,7 @@ class RootSet:
     dynkin_type: DynkinType
     roots: tuple[DimVector, ...]
     _pos: dict = field(init=False, repr=False, compare=False)
+    _ext: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_pos", {r: i for i, r in enumerate(self.roots)})
@@ -129,6 +130,15 @@ class RootSet:
             return self._pos[root]
         except KeyError:
             raise InvalidInputError(f"{root} is not a positive root") from None
+
+    def ext(self) -> tuple[tuple[int, ...], ...]:
+        """ext[i][j] = dim Ext^1(U_i, U_j) = max(0, -euler(roots[i], roots[j])) for the
+        indecomposable U_i of dimension roots[i] (Hom or Ext^1 vanishes); built once."""
+        if self._ext is None:
+            vs = [r.values for r in self.roots]
+            ext = tuple(tuple(max(0, -self.quiver.euler_values(a, b)) for b in vs) for a in vs)
+            object.__setattr__(self, "_ext", ext)
+        return self._ext
 
 
 def positive_roots(q: Quiver) -> RootSet:
@@ -168,6 +178,12 @@ class KostantPartition:
             for i, x in enumerate(r.values):
                 total[i] += m * x
         return DimVector(q.vertices, tuple(total))
+
+    def orbit_codim(self) -> int:
+        """Codimension of the orbit of M = sum m_i U_i: dim Ext^1(M, M) = sum m_i m_j ext[i][j]."""
+        ext = self.root_set.ext()
+        nz = [(i, m) for i, m in enumerate(self.multiplicities) if m]
+        return sum(a * b * ext[i][j] for i, a in nz for j, b in nz)
 
     def nonzero(self) -> list[tuple[DimVector, int]]:
         return [

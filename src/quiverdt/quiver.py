@@ -170,6 +170,10 @@ class Quiver:
     def zero(self) -> DimVector:
         return DimVector(self.vertices, (0,) * self.n)
 
+    def euler_values(self, u: Sequence[int], w: Sequence[int]) -> int:
+        """Euler form on raw value tuples aligned with self.vertices."""
+        return sum(a * b for a, b in zip(u, w)) - sum(u[t] * w[h] for t, h in self._arrow_pairs)
+
     def skew_values(self, u: Sequence[int], w: Sequence[int]) -> int:
         """Skew form on raw value tuples aligned with self.vertices."""
         return sum(u[t] * w[h] - u[h] * w[t] for t, h in self._arrow_pairs)
@@ -308,8 +312,7 @@ def euler_form(q: Quiver, g1: DimVector, g2: DimVector) -> int:
     """Euler form: sum of products over vertices minus the sum over arrows."""
     _check_keys(q, g1)
     _check_keys(q, g2)
-    u, w = g1.values, g2.values
-    return sum(a * b for a, b in zip(u, w)) - sum(u[t] * w[h] for t, h in q._arrow_pairs)
+    return q.euler_values(g1.values, g2.values)
 
 
 def skew_form(q: Quiver, g1: DimVector, g2: DimVector) -> int:

@@ -1,19 +1,21 @@
 """Strata bookkeeping: monomial normal forms, codimensions, Betti identities.
 
-A Kostant series m for a partition of gamma names a product of root
-basis elements.  Multiplying that product down to a single y_gamma and
-re-expressing it against the simple-root monomial in topological vertex
-order is pure integer bookkeeping (a sign and a v exponent); no series
-truncation is involved, so codimension extraction is exact at any scale.
-Each block's (root, multiplicity) list in its inner order is built once
-per call.  One reduction and one solver turn it into the block's orbit
-codimension, and the block lists concatenated in contraction order into
-the stratum's.  The complex codimension of the stratum of m solves
+A Kostant series m for a partition of gamma names one orbit per block.  A
+Dynkin quiver is representation-directed (Hom or Ext^1 between two
+indecomposables vanishes), so the orbit of sum m_i U_i has codimension
+dim Ext^1 = sum m_i * m_j * max(0, -euler(beta_i, beta_j)): see
+KostantPartition.orbit_codim.  The stratum's own codimension, for an
+admissible partition, comes from a second engine.  m names a product of
+root basis elements in the blocks' inner orders, concatenated in
+contraction order; reducing it to sign * v^v_power times the simple-root
+monomial of gamma is exact integer bookkeeping, and
 
     v_power = 2*codim + sum(gamma_i^2) - sum(m_u^2)
 
-and the sign must equal (-1) to the power sum(m_u * (height_u - 1)).
-Both are checked and any failure is raised as an internal inconsistency.
+with the sign (-1) to the power sum(m_u * (height_u - 1)); any failure is
+raised as an internal inconsistency.  codim_additivity_check compares the
+two engines.  Each block's inner order becomes library root positions
+once per call, and every reported list is read at them.
 
 The Betti identity multiplies series only by P_k = 1/(q;q)_k, which is
 exact division by (1 - q)...(1 - q^k): series.times_poincare does it as one
@@ -39,6 +41,7 @@ from typing import Sequence
 from .dynkin import (
     DynkinType,
     KostantPartition,
+    RootSet,
     classify_dynkin,
     kostant_partitions,
     positive_roots,
@@ -62,10 +65,6 @@ from .partitions import (
 )
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
 from .series import VSeries, poincare_series, times_poincare
-
-
-# a block's (root, multiplicity) pairs, in the block's inner order
-BlockList = list[tuple[DimVector, int]]
 
 
 @dataclass(frozen=True)
@@ -147,33 +146,39 @@ def _simple_monomial_form(q: Quiver, values: tuple[int, ...]) -> tuple[int, int]
     return sign, power
 
 
-def _normal_form(q: Quiver, factors: Sequence[tuple[tuple[int, ...], int]]) -> MonomialNormalForm:
-    """An ordered monomial as sign * v^v_power times its simple-root monomial."""
-    sign, power, total = _product_form(q, factors)
-    s_sign, s_power = _simple_monomial_form(q, total)
-    return MonomialNormalForm(sign * s_sign, power - s_power, DimVector(q.vertices, total))
+def _inner_positions(rs: RootSet) -> tuple[int, ...]:
+    """Library positions of rs's roots, listed in its quiver's inner order."""
+    return tuple(map(rs.index, reineke_inner_order(rs.quiver)))
 
 
-def _block_lists(m: KostantSeries, inners: Sequence[Sequence[DimVector]]) -> list[BlockList]:
-    """Each block's (root, multiplicity) pairs, ordered as inners gives its roots."""
-    return [
-        [(r, kp.multiplicities[kp.root_set.index(r)]) for r in inner]
-        for kp, inner in zip(m.per_block, inners)
-    ]
+def inner_positions(m: KostantSeries) -> list[tuple[int, ...]]:
+    """Each block's library root positions in the block's inner order, the
+    same for every Kostant series on m's partition."""
+    return [_inner_positions(kp.root_set) for kp in m.per_block]
+
+
+def _lists(m: KostantSeries, positions: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(kp.multiplicities[i] for i in pos) for kp, pos in zip(m.per_block, positions))
 
 
 def _stratum_form(
-    q: Quiver, p: SubquiverPartition, m: KostantSeries, lists: Sequence[BlockList]
+    q: Quiver, p: SubquiverPartition, m: KostantSeries, positions: Sequence[Sequence[int]]
 ) -> MonomialNormalForm:
-    """Normal form of m's block lists embedded and concatenated in p's contraction
-    order; p may list m's blocks in another order.  Raises NotAdmissibleError."""
+    """Normal form of m's blocks, each read at its positions, embedded and
+    concatenated in p's contraction order (p may list m's blocks in another
+    order), as sign * v^v_power times the simple-root monomial of the total.
+    Raises NotAdmissibleError."""
     if {frozenset(b) for b in p.blocks} != {frozenset(b) for b in m.partition.blocks}:
         raise KeyMismatchError("Kostant series built on a different partition")
-    return _normal_form(q, [
-        (r.embed(q.vertices).values, k)
-        for block in order_blocks(q, p).blocks
-        for r, k in lists[m.partition.block_index(block)]
-    ])
+    factors = []
+    for block in order_blocks(q, p).blocks:
+        j = m.partition.block_index(block)
+        kp = m.per_block[j]
+        factors += [(kp.root_set.roots[i].embed(q.vertices).values, kp.multiplicities[i])
+                    for i in positions[j]]
+    sign, power, total = _product_form(q, factors)
+    s_sign, s_power = _simple_monomial_form(q, total)
+    return MonomialNormalForm(sign * s_sign, power - s_power, DimVector(q.vertices, total))
 
 
 def monomial_normal_form(
@@ -191,60 +196,25 @@ def monomial_normal_form(
     """
     # block supports are disjoint, so an embedded root's values name its block
     where = {root.values: (j, r) for j, r, root, _ in m.entries()}
-    inners: list[list[DimVector]] = [[] for _ in m.per_block]
+    positions: list[list[int]] = [[] for _ in m.per_block]
     for root, _ in order.entries:
         if root.values not in where:
             raise InvalidOrderError(f"order root {root} is not a root of the series' blocks")
         j, r = where[root.values]
-        inners[j].append(r)
-    return _stratum_form(q, p, m, _block_lists(m, inners))
+        positions[j].append(m.per_block[j].root_set.index(r))
+    return _stratum_form(q, p, m, positions)
 
 
-def _sign_parity(kps: Sequence[KostantPartition]) -> int:
-    """Parity of the sum of m_u * (height_u - 1) over the roots of kps."""
-    return sum(k * (r.height - 1) for kp in kps for r, k in kp.nonzero()) % 2
-
-
-def _solve_codim(nf: MonomialNormalForm, kps: Sequence[KostantPartition], context: str) -> int:
-    """Codimension of the stratum of kps, whose ordered root monomial reduces to nf."""
-    mult_sq = sum(k * k for kp in kps for k in kp.multiplicities)
-    numerator = nf.v_power - sum(x * x for x in nf.gamma.values) + mult_sq
-    if numerator % 2 or numerator < 0:
+def _solve_codim(nf: MonomialNormalForm, m: KostantSeries, parity: int) -> int:
+    """Codimension of the stratum of m, whose ordered root monomial reduces to
+    nf; the sign must match the multiplicities' parity."""
+    twice = nf.v_power - sum(x * x for x in nf.gamma.values) + sum(k * k for k in m.multiplicities())
+    if twice % 2 or twice < 0:
+        raise InconsistencyError(f"stratum {m}: v exponent {nf.v_power} gives codimension {twice}/2")
+    if nf.sign != (-1) ** parity:
         raise InconsistencyError(
-            f"{context}: v exponent {nf.v_power} gives codimension {numerator}/2"
-        )
-    s_parity = _sign_parity(kps)
-    if nf.sign != (-1 if s_parity else 1):
-        raise InconsistencyError(
-            f"{context}: sign {nf.sign} contradicts multiplicity parity {s_parity}"
-        )
-    return numerator // 2
-
-
-def _block_forms(p: SubquiverPartition, gamma: DimVector) -> list[tuple[tuple[int, ...], int, int]]:
-    """Each block's restriction of gamma, with the sign and v exponent of its
-    simple-root monomial.  Every Kostant series of gamma on p multiplies out
-    to these monomials block by block, so they are worked out once per call."""
-    forms = []
-    for b in p.induced:
-        values = gamma.restrict(b.vertices).values
-        forms.append((values, *_simple_monomial_form(b, values)))
-    return forms
-
-
-def _block_codims(
-    m: KostantSeries, lists: Sequence[BlockList], forms: Sequence[tuple[tuple[int, ...], int, int]]
-) -> tuple[int, ...]:
-    """Orbit stratum codimension of each block's Kostant partition in m, given
-    _block_forms of m's partition and gamma."""
-    codims = []
-    for b, kp, lst, (values, s_sign, s_power) in zip(m.partition.induced, m.per_block, lists, forms):
-        sign, power, total = _product_form(b, [(r.values, k) for r, k in lst])
-        if total != values:
-            raise InconsistencyError(f"block {b.vertices} multiplies out to {total}, not {values}")
-        nf = MonomialNormalForm(sign * s_sign, power - s_power, DimVector(b.vertices, total))
-        codims.append(_solve_codim(nf, (kp,), f"block {b.vertices}"))
-    return tuple(codims)
+            f"stratum {m}: sign {nf.sign} contradicts multiplicity parity {parity}")
+    return twice // 2
 
 
 def codim_of_stratum(
@@ -252,27 +222,28 @@ def codim_of_stratum(
 ) -> CodimReport:
     """Complex codimension of the stratum named by m inside gamma's space.
 
-    Admissible partitions go through the full ordered-monomial normal
-    form; otherwise the codimension is the sum of the per-block orbit
-    codimensions, which is the same number where both are defined.
+    Block codimensions are dim Ext^1 from the Euler form.  An admissible
+    partition's codimension solves the full ordered-monomial normal form;
+    any other's is the sum over blocks, the same number where both exist.
     """
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
-    lists = _block_lists(m, [reineke_inner_order(b) for b in m.partition.induced])
-    blocks = _block_codims(m, lists, _block_forms(m.partition, gamma))
+    positions = inner_positions(m)
+    blocks = tuple(kp.orbit_codim() for kp in m.per_block)
+    parity = sum(k * (r.height - 1) for kp in m.per_block for r, k in kp.nonzero()) % 2
     try:
-        codim = _solve_codim(_stratum_form(q, p, m, lists), m.per_block, f"stratum {m}")
+        codim = _solve_codim(_stratum_form(q, p, m, positions), m, parity)
     except NotAdmissibleError:
         codim = sum(blocks)
-    return CodimReport(m, gamma, codim, _sign_parity(m.per_block), blocks,
-                       tuple(tuple(k for _, k in lst) for lst in lists))
+    return CodimReport(m, gamma, codim, parity, blocks, _lists(m, positions))
 
 
 def codim_additivity_check(
     q: Quiver, p: SubquiverPartition, m: KostantSeries, gamma: DimVector
 ) -> AdditivityVerdict:
-    """Compare the stratum codimension with the sum over blocks."""
+    """Compare the stratum codimension with the sum over blocks: on an
+    admissible partition, the normal-form solve against the Euler form."""
     r = codim_of_stratum(q, p, m, gamma)
     return AdditivityVerdict(r.codim, r.block_codims, r.codim == sum(r.block_codims))
 
@@ -288,21 +259,21 @@ def betti_identity_check(
 
     The product of P_(gamma_i) over vertices must equal the sum over
     Kostant series of q^codim times the product of P factors of the
-    multiplicities.  Admissibility is not required; codimensions come
-    from the per-block orbit computation.  Each product of P factors is
-    keyed by its sorted factor tuple and built from its one-shorter prefix
-    by one times_poincare division, so every prefix is built once per
-    call, the left side's included.
+    multiplicities.  Admissibility is not required: a term's codim is the
+    sum of its blocks' Euler-form orbit codimensions.  Each product of P
+    factors is keyed by its sorted factor tuple and built from its
+    one-shorter prefix by one times_poincare division, so every prefix is
+    built once per call, the left side's included.
     """
     _check_keys(q, gamma)
-    inners = [reineke_inner_order(b) for b in p.induced]
-    forms = _block_forms(p, gamma)
-    terms = []
-    for m in kostant_series(q, p, gamma, cap=cap):
-        lists = _block_lists(m, inners)
-        terms.append(BettiTerm(m, sum(_block_codims(m, lists, forms)),
-                               tuple(sorted(filter(None, m.multiplicities()))),
-                               tuple(tuple(k for _, k in lst) for lst in lists)))
+    series = kostant_series(q, p, gamma, cap=cap)
+    # every gamma has at least one series, and all share their root sets
+    positions = inner_positions(series[0])
+    terms = [
+        BettiTerm(m, sum(kp.orbit_codim() for kp in m.per_block),
+                  tuple(sorted(filter(None, m.multiplicities()))), _lists(m, positions))
+        for m in series
+    ]
     key = tuple(sorted(filter(None, gamma.values)))
     products = {(): VSeries.one(v_max)}
     for factors in [key] + [t.factors for t in terms]:
@@ -339,26 +310,25 @@ def series_from_inner_lists(
         raise InvalidInputError(f"expected {p.size} block lists, got {len(lists)}")
     per = []
     for j, lst in enumerate(lists):
-        block = p.induced[j]
-        inner = reineke_inner_order(block)
-        if len(lst) != len(inner):
+        rs = positive_roots(p.induced[j])
+        positions = _inner_positions(rs)
+        if len(lst) != len(positions):
             raise InvalidInputError(
-                f"block {j} has {len(inner)} roots, got {len(lst)} multiplicities"
+                f"block {j} has {len(positions)} roots, got {len(lst)} multiplicities"
             )
-        rs = positive_roots(block)
         mult = [0] * len(rs.roots)
-        for root, x in zip(inner, lst):
+        for i, x in zip(positions, lst):
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise InvalidInputError(f"multiplicities must be non-negative integers, got {x!r}")
-            mult[rs.index(root)] = x
+            mult[i] = x
         per.append(KostantPartition(rs, tuple(mult)))
     return KostantSeries(p, tuple(per))
 
 
-def inner_lists(m: KostantSeries) -> list[list[int]]:
-    """Per-block multiplicities of m, indexed by each block's inner root order."""
-    lists = _block_lists(m, [reineke_inner_order(b) for b in m.partition.induced])
-    return [[k for _, k in lst] for lst in lists]
+def inner_lists(m: KostantSeries, positions: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
+    """Per-block multiplicities of m, indexed by each block's inner root order;
+    positions from inner_positions of a series on m's partition save the orders."""
+    return [list(lst) for lst in _lists(m, positions or inner_positions(m))]
 
 
 def stratum_orbit_decomposition(

@@ -8,19 +8,24 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import permutations
 
 from quiverdt import (
     BettiTerm,
     BettiVerdict,
     InvalidInputError,
+    KostantSeries,
     OrderVerdict,
     Quiver,
     VSeries,
+    admissible_total_order,
     codim_of_stratum,
     expected_root_multiset,
     inner_lists,
     kostant_series,
+    make_partition,
+    monomial_normal_form,
     poincare_series,
     validate_order,
 )
@@ -143,6 +148,35 @@ def naive_betti(q: Quiver, p, gamma, v_max: int) -> BettiVerdict:
                   for e in range(min(lhs.min_exp, rhs.min_exp, 0), v_max + 1)
                   if lhs.coefficient(e) != rhs.coefficient(e))
     return BettiVerdict(lhs, rhs, tuple(terms), not diffs, diffs)
+
+
+@lru_cache(maxsize=None)
+def _one_block_order(b: Quiver):
+    """b as a one-block partition, with its admissible root order."""
+    whole = make_partition(b, [list(b.vertices)])
+    return whole, admissible_total_order(b, whole)
+
+
+def normal_form_block_codims(m: KostantSeries) -> tuple[int, ...]:
+    """Each block's orbit codimension by the normal-form engine.
+
+    A block's Kostant partition, taken as a one-block series in the block's
+    admissible order, reduces to sign * v^v_power times the simple-root
+    monomial of its dimension vector gamma.  The codimension solves
+    v_power = 2*codim + sum(gamma_i^2) - sum(m_u^2), and the sign must be
+    (-1)^(sum m_u * (height_u - 1)); an odd or negative 2*codim or a wrong
+    sign fails an assertion.
+    """
+    codims = []
+    for b, kp in zip(m.partition.induced, m.per_block):
+        whole, order = _one_block_order(b)
+        nf = monomial_normal_form(b, whole, order, KostantSeries(whole, (kp,)))
+        twice = nf.v_power - sum(x * x for x in nf.gamma.values) + sum(k * k for k in kp.multiplicities)
+        assert twice >= 0 and twice % 2 == 0, f"block {b.vertices}: 2*codim = {twice}"
+        parity = sum(k * (r.height - 1) for r, k in kp.nonzero()) % 2
+        assert nf.sign == (-1) ** parity, f"block {b.vertices}: sign {nf.sign}, parity {parity}"
+        codims.append(twice // 2)
+    return tuple(codims)
 
 
 def cartan_matrix(q: Quiver) -> list[list[int]]:

@@ -530,6 +530,23 @@ def test_codim_example_orders_each_block_once_per_series(capsys, a3_path, monkey
         assert len(calls) == 8
 
 
+def test_orbits_example_orders_each_block_once(capsys, a3_path, monkeypatch):
+    """README example: one inner order per block formats every row's lists."""
+    from quiverdt import ordering, strata
+
+    calls = []
+    real = ordering.reineke_inner_order
+    for module in (cli, ordering, strata):
+        monkeypatch.setattr(module, "reineke_inner_order",
+                            lambda block: calls.append(block) or real(block))
+    for fmt in ("text", "jsonl"):
+        calls.clear()
+        code, out, _ = run(capsys, "orbits", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
+                           "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
+        assert code == 0 and "[[2], [1, 1, 2]]" in out
+        assert len(calls) == 2
+
+
 def test_codim_of_two_huge_entries_in_one_block_stops_at_the_cap(capsys, quiver_dir):
     """Every multiplicity of the root (1,1) is an output, so --cap 5 ends the walk."""
     started = time.perf_counter()

@@ -15,6 +15,7 @@ from quiverdt import (
     NotTypeAError,
     admissible_total_order,
     betti_identity_check,
+    check_admissible,
     codim_additivity_check,
     codim_of_stratum,
     enumerate_partitions,
@@ -193,6 +194,65 @@ def test_codim_parity_formula(a3, d4, rng):
                 assert rep.sign_exponent_parity == want % 2
 
 
+# edges of D5 and E6 (short leg 6 on the branch vertex 3); orientations are drawn per test
+D5_EDGES = [("1", "2"), ("2", "3"), ("3", "4"), ("3", "5")]
+E6_EDGES = [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("3", "6")]
+
+
+def _seeded_strata(rng, edges, whole, split, per_draw=3):
+    """Cases (quiver, partition, series, gamma) on random orientations of edges:
+    whole draws on the one-block partition, then split draws on a random
+    partition, each at a random gamma with entries 1-2 and with per_draw of
+    its series sampled."""
+    vertices = sorted({v for e in edges for v in e})
+    cases = []
+    for n in range(whole + split):
+        q = oracles.build_quiver(vertices, [
+            (f"a{i}", *(e if rng.random() < 0.5 else e[::-1])) for i, e in enumerate(edges)
+        ])
+        p = make_partition(q, [vertices]) if n < whole else rng.choice(enumerate_partitions(q))
+        g = q.vector({v: rng.randint(1, 2) for v in q.vertices})
+        series = kostant_series(q, p, g)
+        cases += [(q, p, m, g) for m in rng.sample(series, min(per_draw, len(series)))]
+    return cases
+
+
+def test_block_codims_match_the_normal_form_oracle(quiver_dir, rng):
+    """The Euler-form block codims equal the per-block normal-form solve, and an
+    admissible stratum's own normal-form codim is their sum."""
+    cases = []
+    for path in sorted(quiver_dir.glob("*.json")):
+        q = parse_quiver(path.read_text())
+        for p in enumerate_partitions(q):
+            for top in (1, 2, 3):
+                g = q.vector({v: top for v in q.vertices})
+                cases += [(q, p, m, g) for m in kostant_series(q, p, g)]
+    cases += _seeded_strata(rng, D5_EDGES, 3, 3) + _seeded_strata(rng, E6_EDGES, 1, 2, per_draw=1)
+    admissible = 0
+    for q, p, m, g in cases:
+        r = codim_of_stratum(q, p, m, g)
+        assert r.block_codims == oracles.normal_form_block_codims(m)
+        if check_admissible(q, p).admissible:
+            admissible += 1
+            assert r.codim == sum(r.block_codims)
+    assert len(cases) > 400 and 0 < admissible < len(cases)
+
+
+def test_type_a_stratum_codim_is_the_least_orbit_codim(quiver_dir):
+    """A stratum is a union of full-quiver orbits, so its codim is the least of theirs."""
+    q = parse_quiver((quiver_dir / "a3.json").read_text())
+    cases = [(make_partition(q, [["1"], ["2", "3"]]), q.vector([2, 3, 2]))]
+    cases += [(p, q.vector({v: top for v in q.vertices}))
+              for p in enumerate_partitions(q) for top in (1, 2)]
+    strata = 0
+    for p, g in cases:
+        for m in kostant_series(q, p, g):
+            orbits = stratum_orbit_decomposition(q, p, m, g)
+            assert codim_of_stratum(q, p, m, g).codim == min(o.orbit_codim() for o in orbits)
+            strata += 1
+    assert strata > 25
+
+
 def test_additivity_worked_case(a3):
     p = make_partition(a3, [["1"], ["2", "3"]])
     m = series_from_inner_lists(a3, p, [[2], [1, 1, 2]])
@@ -368,11 +428,10 @@ def test_betti_matches_naive_oracle_on_long_series(request, name, block, values,
 
 
 def test_betti_wrong_codim_gives_one_diff_list_from_both_engines(a3, monkeypatch):
-    import quiverdt.strata as strata
+    from quiverdt import KostantPartition
 
-    real = strata._block_codims
-    monkeypatch.setattr(strata, "_block_codims",
-                        lambda m, lists, forms: tuple(c + 1 for c in real(m, lists, forms)))
+    real = KostantPartition.orbit_codim
+    monkeypatch.setattr(KostantPartition, "orbit_codim", lambda kp: real(kp) + 1)
     p = make_partition(a3, [["1"], ["2", "3"]])
     g = a3.vector([2, 3, 2])
     v = betti_identity_check(a3, p, g, 40)
