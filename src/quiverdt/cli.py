@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .algebra import trivial_dt, verify_factorization, working_v_max
 from .dynkin import DEFAULT_CAP, NotDynkin, classify_dynkin, positive_roots
-from .errors import InconsistencyError, QuiverDtError, QuiverParseError
+from .errors import (CyclicQuiverError, InconsistencyError, NotAdmissibleError, NotTypeAError,
+                     QuiverDtError, QuiverParseError)
 from .ordering import admissible_total_order, reineke_inner_order
 from .partitions import (
     SubquiverPartition,
@@ -97,13 +98,13 @@ def _load_quiver(args: argparse.Namespace) -> Quiver:
 
 
 @contextmanager
-def _argument(flag: str):
-    """Name the flag in every input error raised while building its value."""
+def _argument(flag: str, kind: type[QuiverDtError] = QuiverDtError):
+    """Name the flag in every input error of the given kind raised in the block."""
     try:
         yield
     except InconsistencyError:
         raise
-    except QuiverDtError as e:
+    except kind as e:
         raise QuiverDtError(f"argument {flag}: {e}") from None
 
 
@@ -271,7 +272,8 @@ def cmd_partitions(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_roots(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     if args.partition is None:
-        rs = positive_roots(q)
+        with _argument("--quiver"):
+            rs = positive_roots(q)
         for r in rs.roots:
             rep.text(f"{r}")
             rep.row(type="root", root=r.as_dict())
@@ -279,7 +281,8 @@ def cmd_roots(args: argparse.Namespace, rep: Reporter) -> int:
                     count=len(rs.roots), dynkin=str(rs.dynkin_type))
         return 0
     p = _parse_partition(q, args.partition)
-    order = admissible_total_order(q, p)
+    with _argument("--partition", NotAdmissibleError):
+        order = admissible_total_order(q, p)
     rep.text(f"blocks in contraction order: {order.partition}")
     for i, e in enumerate(order.entries, start=1):
         rep.text(f"{i:3d}. {e.root}  (block {e.block + 1})")
@@ -294,7 +297,8 @@ def cmd_dt(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     bound = _parse_bound(q, args.gamma_bound, args.cap)
     v_max = _v_max(args, working_v_max(q, bound, 0))
-    el = trivial_dt(q, bound, v_max)
+    with _argument("--quiver", CyclicQuiverError):
+        el = trivial_dt(q, bound, v_max)
     rep.text(f"combinatorial DT invariant, support bound {bound}, q-order {args.q_order}")
     for g in el.support():
         rep.text(f"y{g}: {el.coefficient(g)}")
@@ -338,10 +342,12 @@ def cmd_factorize(args: argparse.Namespace, rep: Reporter) -> int:
         ps = [_parse_partition(q, args.partition)]
     else:
         raise QuiverDtError("factorize needs --partition or --all-partitions")
-    reference = trivial_dt(q, bound, v_max)
+    with _argument("--quiver", CyclicQuiverError):
+        reference = trivial_dt(q, bound, v_max)
     failed = 0
     for p in ps:
-        report = verify_factorization(q, p, bound, v_max, reference=reference)
+        with _argument("--partition", NotAdmissibleError):
+            report = verify_factorization(q, p, bound, v_max, reference=reference)
         _report_factorization(rep, report)
         failed += not report.passed
     status = "FAIL" if failed else "PASS"
@@ -426,7 +432,8 @@ def cmd_orbits(args: argparse.Namespace, rep: Reporter) -> int:
     positions = inner_positions(rows[0])
     total = 0
     for m in rows:
-        orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=args.cap)
+        with _argument("--quiver", NotTypeAError):
+            orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=args.cap)
         total += len(orbits)
         lists = inner_lists(m, positions)
         rep.text(f"m={lists}: {len(orbits)} orbits")

@@ -45,7 +45,7 @@ class DynkinType:
 class NotDynkin:
     """Classification failure with the offending feature.
 
-    kind is "loop", "multi-edge", "cycle" or "branching".
+    kind is "multi-edge", "cycle" or "branching".
     """
 
     kind: str
@@ -64,9 +64,6 @@ def classify_dynkin(q: Quiver) -> DynkinType | NotDynkin:
         raise NotConnectedError("empty quiver")
     if not underlying_connected(q):
         raise NotConnectedError("quiver is not connected")
-    for a in q.arrows:
-        if a.tail == a.head:
-            return NotDynkin("loop", f"loop arrow {a.name!r} at vertex {a.tail!r}")
     seen_pairs: dict[frozenset, str] = {}
     for a in q.arrows:
         pair = frozenset((a.tail, a.head))

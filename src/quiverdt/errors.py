@@ -37,7 +37,7 @@ class NotConnectedError(QuiverDtError):
 class NotDynkinError(QuiverDtError):
     """A quiver required to be simply laced Dynkin is not.
 
-    ``kind`` is one of "loop", "multi-edge", "cycle", "branching".
+    ``kind`` is one of "multi-edge", "cycle", "branching".
     """
 
     def __init__(self, message: str, *, kind: str = ""):

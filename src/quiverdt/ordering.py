@@ -5,7 +5,10 @@ Within one Dynkin block the roots are sorted so that any root pair
 blocks appear as contiguous groups in contraction order, which makes
 every cross-block pair's skew form non-positive.  The within-block sort
 is a topological sort of the precedence constraints "b must precede a
-whenever skew(a, b) < 0", with ties broken by library root order.
+whenever skew(a, b) < 0", with ties broken by library root order: the
+one Kahn sort of quiver on root indices, whose failure would take its
+witness from quiver's one cycle search.  The block order is the same
+sort of the partition's contraction (partitions).
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import NamedTuple, Sequence
 from .dynkin import positive_roots
 from .errors import ConstraintCycleError, InvalidOrderError
 from .partitions import SubquiverPartition, order_blocks
-from .quiver import DimVector, Quiver, _kahn_order, skew_form
+from .quiver import DimVector, Quiver, _kahn_order, _shortest_cycle, skew_form
 
 
 class RootEntry(NamedTuple):
@@ -52,7 +55,7 @@ def reineke_inner_order(block: Quiver) -> tuple[DimVector, ...]:
     Kahn's algorithm on the precedence digraph; the tie-break by library
     root order makes the result deterministic.  A constraint cycle would
     mean the block admits no valid order and is reported, not asserted
-    away.
+    away: a shortest one among the roots the sort left over is the witness.
     """
     roots = positive_roots(block).roots
     n = len(roots)
@@ -63,22 +66,9 @@ def reineke_inner_order(block: Quiver) -> tuple[DimVector, ...]:
                 succ[j].append(i)
     out = _kahn_order(succ)
     if len(out) != n:
-        remaining = [i for i in range(n) if i not in out]
-        witness = _constraint_cycle(remaining, succ)
+        witness = _shortest_cycle(succ, set(range(n)) - set(out))
         raise ConstraintCycleError(tuple(str(roots[i]) for i in witness))
     return tuple(roots[i] for i in out)
-
-
-def _constraint_cycle(nodes: list[int], succ: list[list[int]]) -> list[int]:
-    node_set = set(nodes)
-    start = nodes[0]
-    path, seen = [start], {start}
-    while True:
-        nxt = next(w for w in succ[path[-1]] if w in node_set)
-        if nxt in seen:
-            return path[path.index(nxt):] + [nxt]
-        path.append(nxt)
-        seen.add(nxt)
 
 
 def admissible_total_order(q: Quiver, p: SubquiverPartition) -> RootOrder:

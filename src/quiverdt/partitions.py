@@ -3,15 +3,16 @@
 A subquiver partition splits the vertex set into blocks whose induced
 subquivers are connected and simply laced Dynkin.  Blocks carry all
 induced arrows.  A partition is admissible when its contraction (one
-vertex per block, cross-block arrows kept) has no directed cycle.
-check_admissible and order_blocks share one topological sort of the
-contraction, which gives the block order or a cycle witness.
+node per block, cross-block arrows kept) has no directed cycle.  The
+contraction is block-index successor lists, not a Quiver; check_admissible
+and order_blocks share its one Kahn sort, which gives the block order, and
+a failed sort takes its witness from quiver's one cycle search.
 
 check_admissible also accepts raw blocks whose induced subquiver fails
 to be Dynkin because of parallel arrows or an undirected cycle: those
 blocks are collapsed along a spanning tree and every leftover internal
-arrow becomes a loop in the diagnosed contraction, which then witnesses
-the failure.  make_partition always rejects such blocks.
+arrow becomes a self-edge of the contraction, which then witnesses the
+failure.  make_partition always rejects such blocks.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .dynkin import (
     kostant_partitions,
 )
 from .errors import (
-    CyclicQuiverError,
     EnumerationCapError,
     InvalidInputError,
     NotAdmissibleError,
@@ -36,13 +36,13 @@ from .errors import (
     NotDynkinError,
 )
 from .quiver import (
-    Arrow,
     DimVector,
     Quiver,
     _check_keys,
+    _kahn_order,
+    _shortest_cycle,
     check_vertex_partition,
     induced_subquiver,
-    topological_vertex_order,
     underlying_connected,
 )
 
@@ -77,7 +77,7 @@ class AdmissibilityVerdict:
     """Outcome of the contraction acyclicity test.
 
     witness is a closed directed walk in the contraction (block names,
-    start repeated; a loop repeats one name).  ordered reports whether
+    start repeated; a self-edge repeats one name).  ordered reports whether
     the contraction order is the blocks' listed order, that is whether
     every cross-block arrow's head block is already listed first.
     """
@@ -103,47 +103,47 @@ def make_partition(q: Quiver, blocks: Sequence[Iterable[str]]) -> SubquiverParti
     return SubquiverPartition(q, normalized, tuple(induced), tuple(types))
 
 
-def _forest_contraction(q: Quiver, blocks: tuple[tuple[str, ...], ...]) -> Quiver:
-    """Contract blocks, absorbing a spanning forest of each block's
-    induced arrows; internal arrows beyond the forest become loops.
+def _contraction_order(q: Quiver, blocks: tuple[tuple[str, ...], ...]) -> list[int]:
+    """Block indices in contraction order (ties as given), or NotAdmissibleError.
 
-    Each block becomes one vertex named by joining its members with "+"
-    (prefixed "B<j>:" if two such names collide).  Arrows between blocks
-    are kept with multiplicity, so the result may have parallel arrows or
-    two-cycles.  For valid partitions every induced subquiver is a tree
-    and no internal arrow is left over.
+    The contraction has one node per block and keeps every arrow between
+    blocks with its multiplicity.  A spanning forest of each block's induced
+    arrows is absorbed; an internal arrow beyond it becomes a self-edge, a
+    one-block cycle.  For valid partitions every induced subquiver is a tree
+    and no internal arrow is left over.  The witness names each block by
+    joining its members with "+" (prefixed "B<j>:" if two such names collide).
     """
-    names = ["+".join(b) for b in blocks]
-    if len(set(names)) != len(names):
-        names = [f"B{i}:{n}" for i, n in enumerate(names)]
-    of = {v: names[j] for j, b in enumerate(blocks) for v in b}
-    parent = {v: v for v in q.vertices}
+    of = {q.index(v): j for j, b in enumerate(blocks) for v in b}
+    parent = list(range(q.n))
 
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    kept: list[Arrow] = []
-    for a in q.arrows:
-        if of[a.tail] == of[a.head]:
-            rt, rh = find(a.tail), find(a.head)
+    # tail block -> head block of every arrow the forest leaves, in arrow order
+    forward: list[list[int]] = [[] for _ in blocks]
+    for t, h in q._arrow_pairs:
+        if of[t] == of[h]:
+            rt, rh = find(t), find(h)
             if rt != rh:
                 parent[rt] = rh
                 continue
-        kept.append(Arrow(a.name, of[a.tail], of[a.head]))
-    return Quiver(tuple(names), tuple(kept), is_contraction=True)
-
-
-def _contraction_order(q: Quiver, blocks: tuple[tuple[str, ...], ...]) -> list[int]:
-    """Block indices in contraction order (ties as given), or NotAdmissibleError."""
-    con = _forest_contraction(q, blocks)
-    try:
-        order = topological_vertex_order(con)
-    except CyclicQuiverError as e:
-        raise NotAdmissibleError(e.witness) from None
-    return [con.index(name) for name in order]
+        forward[of[t]].append(of[h])
+    succ: list[list[int]] = [[] for _ in blocks]
+    for t, heads in enumerate(forward):
+        for h in heads:
+            succ[h].append(t)  # a head block precedes its tail block
+    order = _kahn_order(succ)
+    if len(order) == len(blocks):
+        return order
+    # the witness follows the arrows, tail to head
+    cycle = _shortest_cycle(forward, set(range(len(blocks))) - set(order))
+    names = ["+".join(b) for b in blocks]
+    if len(set(names)) != len(names):
+        names = [f"B{j}:{name}" for j, name in enumerate(names)]
+    raise NotAdmissibleError(tuple(names[j] for j in cycle))
 
 
 def check_admissible(

@@ -4,6 +4,10 @@ A quiver is a finite directed multigraph with opaque string vertex names.
 This module provides parsing, dimension vectors, the Euler form and its
 skew-symmetrization, topological vertex orders, induced subquivers and
 underlying components.  All arithmetic is exact integer arithmetic.
+
+Every topological sort in the package (of vertices here, of partition
+blocks, of a block's roots) is _kahn_order on index successor lists, and
+every failed one takes a shortest directed cycle from _shortest_cycle.
 """
 from __future__ import annotations
 
@@ -113,14 +117,12 @@ class DimVector:
 class Quiver:
     """A finite directed multigraph.
 
-    Vertex names and arrow names are unique strings.  Loop arrows are
-    rejected except on quivers flagged as contraction output, where they
-    record collapsed internal arrows.
+    Vertex names and arrow names are unique strings; loop arrows are
+    rejected.
     """
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-    is_contraction: bool = False
     _vindex: dict = field(init=False, repr=False, compare=False)
     _arrow_pairs: tuple = field(init=False, repr=False, compare=False)
     # the topological vertex order, once one has been found
@@ -138,7 +140,7 @@ class Quiver:
         for a in self.arrows:
             if a.tail not in vindex or a.head not in vindex:
                 raise QuiverParseError(f"arrow {a.name!r} has an endpoint outside the vertex set")
-            if a.tail == a.head and not self.is_contraction:
+            if a.tail == a.head:
                 raise QuiverParseError(f"loop arrow {a.name!r} not allowed")
         object.__setattr__(self, "_vindex", vindex)
         object.__setattr__(
@@ -225,45 +227,6 @@ def parse_quiver(text: str) -> Quiver:
         raise QuiverParseError(str(e)) from None
 
 
-def shortest_directed_cycle(q: Quiver) -> tuple[str, ...] | None:
-    """Shortest closed directed walk, returned with the start vertex repeated.
-
-    Loops win over longer cycles; remaining ties go to the earliest start
-    vertex in input order, so the witness is deterministic.
-    """
-    for a in q.arrows:
-        if a.tail == a.head:
-            return (a.tail, a.tail)
-    succ: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        succ[a.tail].append(a.head)
-    best: tuple[str, ...] | None = None
-    for start in q.vertices:
-        prev: dict[str, str] = {}
-        dist = {start: 0}
-        queue = deque([start])
-        hit: str | None = None
-        while queue and hit is None:
-            u = queue.popleft()
-            for w in succ[u]:
-                if w == start:
-                    hit = u
-                    break
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    prev[w] = u
-                    queue.append(w)
-        if hit is None:
-            continue
-        path = [hit]
-        while path[-1] != start:
-            path.append(prev[path[-1]])
-        cycle = tuple(reversed(path)) + (start,)
-        if best is None or len(cycle) < len(best):
-            best = cycle
-    return best
-
-
 def _kahn_order(succ: Sequence[Sequence[int]]) -> list[int]:
     """Kahn's algorithm on nodes 0..n-1 with an edge i -> w for each w in succ[i].
 
@@ -284,6 +247,52 @@ def _kahn_order(succ: Sequence[Sequence[int]]) -> list[int]:
             if indeg[w] == 0:
                 heappush(heap, w)
     return out
+
+
+def _shortest_cycle(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> list[int] | None:
+    """Shortest closed walk along the edges i -> w, w in succ[i], that stays
+    inside nodes; returned with its start repeated, or None.
+
+    A self-edge is the shortest walk there is.  Ties go to the smallest
+    start, and from one start breadth-first search in succ order picks the
+    walk, so the witness is deterministic.  Every cycle lies among the
+    nodes a Kahn sort leaves unsorted, so those are all a caller must pass.
+    """
+    inside = set(nodes)
+    best: list[int] | None = None
+    for start in sorted(inside):
+        prev = {start: start}
+        queue = deque([start])
+        hit: int | None = None
+        while queue and hit is None:
+            u = queue.popleft()
+            for w in succ[u]:
+                if w == start:
+                    hit = u
+                    break
+                if w in inside and w not in prev:
+                    prev[w] = u
+                    queue.append(w)
+        if hit is None:
+            continue
+        path = [hit]
+        while path[-1] != start:
+            path.append(prev[path[-1]])
+        if best is None or len(path) + 1 < len(best):
+            best = path[::-1] + [start]
+    return best
+
+
+def shortest_directed_cycle(q: Quiver) -> tuple[str, ...] | None:
+    """Shortest directed cycle, returned with the start vertex repeated.
+
+    Ties go to the earliest start vertex in input order (see _shortest_cycle).
+    """
+    succ: list[list[int]] = [[] for _ in q.vertices]
+    for t, h in q._arrow_pairs:
+        succ[t].append(h)
+    cycle = _shortest_cycle(succ, range(q.n))
+    return None if cycle is None else tuple(q.vertices[i] for i in cycle)
 
 
 def topological_vertex_order(q: Quiver) -> tuple[str, ...]:

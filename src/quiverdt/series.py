@@ -220,14 +220,8 @@ class VSeries:
         if isinstance(other, int):
             return VSeries(self.v_max, self.min_exp, tuple(other * c for c in self.coeffs))
         self._check(other)
-        # only coefficients that can reach v^v_max take part
-        keep = max(0, self.v_max - self.min_exp - other.min_exp + 1)
-        a, b = self.coeffs[:keep], other.coeffs[:keep]
-        if not a or not b:
-            return VSeries(self.v_max)
-        width = _bound_width([_norms(a)], [_norms(b)])
-        acc = PackedSum(width)
-        acc.add_product(self.min_exp + other.min_exp, _halves(a, width), _halves(b, width), 1)
+        acc = PackedSum(product_width([self], [other]))
+        convolve_into(acc, self, other, 0, 1, self.v_max)
         return acc.series(self.v_max)
 
     def __rmul__(self, other: int) -> VSeries:
@@ -269,35 +263,26 @@ class VSeries:
         return " ".join(parts)
 
 
-def _norms(coeffs) -> tuple[int, int]:
-    """L1 and Linf of a coefficient run."""
-    mags = list(map(abs, coeffs))
-    return sum(mags), max(mags, default=0)
-
-
 def _measure(s: VSeries) -> list:
-    """s's memo, created with its norms when s has none yet."""
-    memo = [*_norms(s.coeffs), 0, ()]
+    """s's memo, created with its norms L1 and Linf when s has none yet."""
+    mags = list(map(abs, s.coeffs))
+    memo = [sum(mags), max(mags, default=0), 0, ()]
     object.__setattr__(s, "_memo", memo)
     return memo
 
 
-def _bound_width(nx, ny) -> int:
-    """Digit width for sums of products a * b of runs, a from one side and b
-    from the other, given each side's (L1, Linf) pairs.
+def product_width(xs, ys) -> int:
+    """Digit width for sums of series products a * b, a from xs and b from ys.
 
     In each sum every a meets at most one b and every b at most one a, so
     each coefficient of a sum is bounded by
-    min(sum L1(a) * max Linf(b), max Linf(a) * sum L1(b)).
+    min(sum L1(a) * max Linf(b), max Linf(a) * sum L1(b)).  Each series'
+    (L1, Linf) come from its memo.
     """
+    nx = [s._memo or _measure(s) for s in xs]
+    ny = [s._memo or _measure(s) for s in ys]
     return _digit_width(min(sum(m[0] for m in nx) * max((m[1] for m in ny), default=0),
                             max((m[1] for m in nx), default=0) * sum(m[0] for m in ny)))
-
-
-def product_width(xs, ys) -> int:
-    """Digit width for sums of series products a * b, a from xs and b from ys (see
-    _bound_width); each series' norms come from its memo."""
-    return _bound_width([s._memo or _measure(s) for s in xs], [s._memo or _measure(s) for s in ys])
 
 
 def _halves(coeffs, width: int) -> tuple[tuple[int, int, int, int], ...]:

@@ -273,6 +273,100 @@ def topo_vertices(q: Quiver) -> list[str]:
     return out
 
 
+def bfs_shortest_cycle(vertices, pairs) -> tuple | None:
+    """Shortest closed directed walk over named vertices and (tail, head)
+    pairs, returned with the start vertex repeated; None when acyclic.
+
+    A name-keyed breadth-first search from each start in input order.
+    Loops win over longer cycles, the earliest looped vertex first; other
+    ties go to the earliest start.  pairs may hold loops, which no Quiver can.
+    """
+    for v in vertices:
+        if (v, v) in pairs:
+            return (v, v)
+    succ: dict = {v: [] for v in vertices}
+    for t, h in pairs:
+        succ[t].append(h)
+    best = None
+    for start in vertices:
+        prev = {}
+        dist = {start: 0}
+        queue = deque([start])
+        hit = None
+        while queue and hit is None:
+            u = queue.popleft()
+            for w in succ[u]:
+                if w == start:
+                    hit = u
+                    break
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    prev[w] = u
+                    queue.append(w)
+        if hit is None:
+            continue
+        path = [hit]
+        while path[-1] != start:
+            path.append(prev[path[-1]])
+        cycle = tuple(reversed(path)) + (start,)
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
+
+
+def brute_contraction_order(q: Quiver, blocks) -> list[int] | None:
+    """The lexicographically smallest permutation of block indices that lists
+    every cross-block arrow's head block no later than its tail block.
+
+    None when no permutation does, or when some block's induced arrows
+    close an undirected cycle (more arrows than a spanning forest holds).
+    """
+    at = {v: j for j, b in enumerate(blocks) for v in b}
+    for b in blocks:
+        internal = [(a.tail, a.head) for a in q.arrows if at[a.tail] == at[a.head] == at[b[0]]]
+        reached: set = set()
+        components = 0
+        for v in b:
+            if v in reached:
+                continue
+            components += 1
+            reached.add(v)
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for t, h in internal:
+                    for x, y in ((t, h), (h, t)):
+                        if x == u and y not in reached:
+                            reached.add(y)
+                            stack.append(y)
+        if len(internal) != len(b) - components:
+            return None
+    for perm in permutations(range(len(blocks))):  # lexicographic order
+        pos = {j: i for i, j in enumerate(perm)}
+        if all(pos[at[a.head]] <= pos[at[a.tail]] for a in q.arrows):
+            return list(perm)
+    return None
+
+
+def random_set_partition(rng: random.Random, items) -> list[list]:
+    """Items dealt into a random number of non-empty blocks, in item order."""
+    items = list(items)
+    k = rng.randint(1, len(items))
+    labels = [rng.randrange(k) for _ in items]
+    return [[x for x, lab in zip(items, labels) if lab == j] for j in sorted(set(labels))]
+
+
+def random_cyclic_quiver(rng: random.Random, max_vertices: int = 6, max_arrows: int = 6) -> Quiver:
+    """Small random quiver with random arrows and one planted directed cycle."""
+    n = rng.randint(2, max_vertices)
+    names = [str(i + 1) for i in range(n)]
+    arrows = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, max_arrows))]
+    ring = rng.sample(names, rng.randint(2, n))
+    arrows += list(zip(ring, ring[1:] + ring[:1]))
+    rng.shuffle(arrows)
+    return build_quiver(names, [(f"a{k}", t, h) for k, (t, h) in enumerate(arrows)])
+
+
 def closed_form_dt_coefficient(q: Quiver, gamma, v_max: int) -> VSeries:
     """Coefficient of y_gamma in the full dilogarithm product, closed form.
 

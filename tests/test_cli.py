@@ -570,3 +570,39 @@ def test_e6_one_block_codim_stops_at_the_cap(capsys, tmp_path):
             "--gamma", '{"1":2,"2":4,"3":6,"4":4,"5":2,"6":3}']
     code, out, err = run(capsys, "codim", *argv, "--cap", "1000")
     assert code == 2 and not out and "more than 1000 Kostant partitions" in err
+
+
+TWO_CYCLE = {"vertices": ["a", "b"], "arrows": [{"id": "x", "tail": "a", "head": "b"},
+                                                 {"id": "y", "tail": "b", "head": "a"}]}
+
+
+@pytest.mark.parametrize("command", ["factorize", "roots"])
+def test_non_admissible_partition_names_the_partition_flag(capsys, quiver_dir, command):
+    code, out, err = run(capsys, command, "--quiver", str(quiver_dir / "atilde2.json"),
+                         "--partition", '[["1","3"],["2"]]')
+    assert code == 2 and not out
+    assert err == "error: argument --partition: contraction has a directed cycle: 1+3 -> 2 -> 1+3\n"
+
+
+@pytest.mark.parametrize("extra", [["dt"], ["factorize", "--partition", '[["a"],["b"]]'],
+                                   ["factorize", "--all-partitions"]])
+def test_cyclic_quiver_names_the_quiver_flag(capsys, tmp_path, extra):
+    path = tmp_path / "two_cycle.json"
+    path.write_text(json.dumps(TWO_CYCLE))
+    code, out, err = run(capsys, extra[0], "--quiver", str(path), *extra[1:])
+    assert code == 2 and not out
+    assert err == "error: argument --quiver: directed cycle: a -> b -> a\n"
+
+
+def test_roots_of_a_non_dynkin_quiver_names_the_quiver_flag(capsys, quiver_dir):
+    code, out, err = run(capsys, "roots", "--quiver", str(quiver_dir / "atilde2.json"))
+    assert code == 2 and not out
+    assert err.startswith("error: argument --quiver: not Dynkin (cycle): ")
+
+
+def test_orbits_outside_type_a_names_the_quiver_flag(capsys, quiver_dir):
+    code, out, err = run(capsys, "orbits", "--quiver", str(quiver_dir / "d4.json"),
+                         "--partition", '[["c","1","2","3"]]',
+                         "--gamma", '{"c":1,"1":1,"2":1,"3":1}')
+    assert code == 2 and not out
+    assert err == "error: argument --quiver: orbit decomposition needs type A; the quiver is D4\n"

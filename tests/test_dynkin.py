@@ -16,7 +16,6 @@ from quiverdt import (
     kostant_partitions,
     positive_roots,
 )
-from quiverdt.quiver import Arrow, Quiver
 
 
 def star(legs):
@@ -55,16 +54,6 @@ def test_classify_kronecker_multi_edge(kronecker):
 def test_classify_cycle(atilde2):
     out = classify_dynkin(atilde2)
     assert isinstance(out, NotDynkin) and out.kind == "cycle"
-
-
-def test_classify_loop_on_contraction_quiver():
-    q = Quiver(
-        vertices=("x",),
-        arrows=(Arrow("a", "x", "x"),),
-        is_contraction=True,
-    )
-    out = classify_dynkin(q)
-    assert isinstance(out, NotDynkin) and out.kind == "loop"
 
 
 def test_classify_d4(d4):

@@ -13,6 +13,7 @@ from quiverdt import (
     NotDynkinError,
     check_admissible,
     enumerate_partitions,
+    induced_subquiver,
     kostant_series,
     make_partition,
     order_blocks,
@@ -185,6 +186,75 @@ def test_admissible_contraction_needs_no_cycle_scan(a4, d4, atilde2, monkeypatch
         assert check_admissible(q, p).admissible
 
 
+def _quiver_files():
+    from conftest import QUIVER_DIR
+    from quiverdt import parse_quiver
+
+    return [parse_quiver(path.read_text()) for path in sorted(QUIVER_DIR.glob("*.json"))]
+
+
+def _order_or_witness(q, blocks):
+    from quiverdt.partitions import _contraction_order
+
+    try:
+        return _contraction_order(q, blocks)
+    except NotAdmissibleError as e:
+        return e.witness
+
+
+def test_contraction_order_is_least_valid_block_permutation(rng):
+    """Every listing of every partition of quivers/*.json, and seeded random
+    block splits of random quivers: the order is the lexicographically least
+    permutation that lists each cross-block arrow's head block first, and
+    there is none exactly when the contraction is not admissible."""
+    cases = [(q, perm) for q in _quiver_files() for p in enumerate_partitions(q)
+             for perm in itertools.permutations(p.blocks)]
+    for _ in range(300):
+        q = (oracles.random_cyclic_quiver(rng) if rng.random() < 0.5 else
+             oracles.random_acyclic_quiver(rng, max_vertices=6, max_arrows=8))
+        cases.append((q, tuple(map(tuple, oracles.random_set_partition(rng, q.vertices)))))
+    rejected = 0
+    for q, blocks in cases:
+        want = oracles.brute_contraction_order(q, blocks)
+        got = _order_or_witness(q, blocks)
+        if want is not None:
+            assert got == want
+            continue
+        rejected += 1
+        # the witness: a block whose arrows close an undirected cycle, or else
+        # the name-keyed search's shortest cycle among the cross-block arrows
+        names = ["+".join(b) for b in blocks]
+        at = {v: j for j, b in enumerate(blocks) for v in b}
+        if len(got) == 2:
+            block = blocks[names.index(got[0])]
+            assert oracles.brute_contraction_order(induced_subquiver(q, block), (block,)) is None
+        else:
+            cross = [(names[at[a.tail]], names[at[a.head]]) for a in q.arrows
+                     if at[a.tail] != at[a.head]]
+            assert got == oracles.bfs_shortest_cycle(names, cross)
+    assert len(cases) > 350 and 50 < rejected < len(cases) - 50
+
+
+def test_admissible_contraction_calls_no_cycle_search(a4, d4, atilde2, monkeypatch):
+    """The Kahn sort alone decides an admissible contraction."""
+    import quiverdt.partitions as partitions
+    import quiverdt.quiver as quiver
+
+    def search(*args):
+        raise AssertionError("cycle search of an admissible contraction")
+
+    cases = [(q, p) for q in (a4, d4, atilde2, *_quiver_files())
+             for p in enumerate_partitions(q, admissible_only=True)]
+    for module, name in ((partitions, "_shortest_cycle"), (quiver, "_shortest_cycle"),
+                         (quiver, "shortest_directed_cycle")):
+        monkeypatch.setattr(module, name, search)
+    for q, p in cases:
+        assert check_admissible(q, p).admissible
+        assert order_blocks(q, p).size == p.size
+    with pytest.raises(AssertionError, match="cycle search"):
+        check_admissible(atilde2, make_partition(atilde2, [["1", "3"], ["2"]]))
+
+
 def test_kostant_series_a3_worked_case(a3):
     p = make_partition(a3, [["1"], ["2", "3"]])
     series = kostant_series(a3, p, a3.vector([2, 3, 2]))
@@ -242,16 +312,13 @@ def test_all_singletons_always_present_and_admissible(a2, a2_rev, a3, a4, d4,
 
 
 def test_witness_rewalks_as_contraction_cycle(atilde2):
-    from quiverdt.partitions import _forest_contraction
-
     bad = make_partition(atilde2, [["1", "3"], ["2"]])
     verdict = check_admissible(atilde2, bad)
     witness = verdict.witness
     assert witness[0] == witness[-1] and len(witness) >= 2
-    con = _forest_contraction(atilde2, bad.blocks)
-    pairs = {(a.tail, a.head) for a in con.arrows}
+    members = {"+".join(b): set(b) for b in bad.blocks}
     for tail, head in zip(witness, witness[1:]):
-        assert (tail, head) in pairs
+        assert any(a.tail in members[tail] and a.head in members[head] for a in atilde2.arrows)
 
     loop = check_admissible(atilde2, [["1", "2", "3"]])
     assert loop.witness == ("1+2+3", "1+2+3")

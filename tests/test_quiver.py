@@ -11,6 +11,7 @@ from quiverdt import (
     CyclicQuiverError,
     DimVector,
     KeyMismatchError,
+    NotAdmissibleError,
     NotAPartitionError,
     QuiverParseError,
     UnknownVertexError,
@@ -23,7 +24,8 @@ from quiverdt import (
     topological_vertex_order,
 )
 from oracles import skew_form_restricted
-from quiverdt.partitions import _forest_contraction
+from quiverdt.partitions import _contraction_order
+from quiverdt.quiver import _kahn_order, _shortest_cycle
 
 A3_TEXT = json.dumps(
     {
@@ -266,22 +268,55 @@ def test_induced_subquiver_full_kronecker(kronecker):
 
 
 def test_contraction_a3_two_blocks(a3):
-    c = _forest_contraction(a3, (("1",), ("2", "3")))
-    assert c.n == 2
-    assert len(c.arrows) == 1
-    (a,) = c.arrows
-    assert a.head == "1" and a.tail == "2+3"
+    """The internal arrow 3 -> 2 is absorbed; the one arrow 2 -> 1 between
+    the blocks puts its head block {1} first in either listing."""
+    assert _contraction_order(a3, (("1",), ("2", "3"))) == [0, 1]
+    assert _contraction_order(a3, (("2", "3"), ("1",))) == [1, 0]
 
 
 def test_contraction_atilde2_two_cycle(atilde2):
-    c = _forest_contraction(atilde2, (("1", "3"), ("2",)))
-    assert shortest_directed_cycle(c) is not None
+    with pytest.raises(NotAdmissibleError) as exc:
+        _contraction_order(atilde2, (("1", "3"), ("2",)))
+    assert exc.value.witness == ("1+3", "2", "1+3")
 
 
 def test_contraction_singletons_identity(a3):
-    c = _forest_contraction(a3, (("1",), ("2",), ("3",)))
-    assert c.n == a3.n and len(c.arrows) == len(a3.arrows)
-    assert shortest_directed_cycle(c) is None
+    """Singleton blocks contract to the quiver itself: the block order is
+    the topological vertex order."""
+    order = _contraction_order(a3, (("1",), ("2",), ("3",)))
+    assert [a3.vertices[j] for j in order] == list(topological_vertex_order(a3))
+
+
+def test_shortest_directed_cycle_matches_bfs_oracle(rng):
+    """Seeded random quivers, acyclic and with a planted cycle: the index
+    search and its public wrapper give the name-keyed search's witness."""
+    planted = [oracles.random_cyclic_quiver(rng) for _ in range(150)]
+    acyclic = [oracles.random_acyclic_quiver(rng, max_vertices=6, max_arrows=8) for _ in range(50)]
+    for q in planted + acyclic:
+        want = oracles.bfs_shortest_cycle(q.vertices, [(a.tail, a.head) for a in q.arrows])
+        assert (want is None) == (q in acyclic)
+        assert shortest_directed_cycle(q) == want
+        succ = [[q.index(a.head) for a in q.arrows if a.tail == v] for v in q.vertices]
+        got = _shortest_cycle(succ, range(q.n))
+        assert (None if got is None else tuple(q.vertices[i] for i in got)) == want
+
+
+def test_shortest_cycle_takes_self_edges_first(rng):
+    """Index graphs with self-edges: a self-edge beats every longer cycle,
+    the smallest looped node first, as in the name-keyed search; passing
+    only the nodes a Kahn sort leaves over changes nothing."""
+    loops = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
+        succ = [[h for t, h in pairs if t == i] for i in range(n)]
+        want = oracles.bfs_shortest_cycle(list(range(n)), pairs)
+        got = _shortest_cycle(succ, range(n))
+        assert (None if got is None else tuple(got)) == want
+        assert _shortest_cycle(succ, set(range(n)) - set(_kahn_order(succ))) == got
+        loops += want is not None and len(want) == 2
+    assert loops > 50
+    assert _shortest_cycle([[1], [0, 1]], range(2)) == [1, 1]
 
 
 def test_check_vertex_partition_normalizes(a3):
