@@ -13,12 +13,21 @@ writes its terms down from this power rule, and they form a finite sum
 under a support bound.
 
 Because the skew form can be negative, a product can lower series
-exponents, so elements internally carry coefficients past v_max by a
-headroom of sum(bound[tail] * bound[head]) over arrows: for factors
-whose dimension vectors stay within the bound the total downward shift
-can never exceed that, which makes every coefficient read back through
-coefficient() exact regardless of how a product was parenthesized or
-ordered.
+exponents, so elements internally carry coefficients up to a working
+cutoff v_max + H, H = sum(bound[tail] * bound[head]) over arrows.  Take
+one monomial of a product, a factor y_(a_i) from each element, whose sum
+stays within the bound.  The skew forms of any subset of its factor pairs
+sum to at least -H: each pair adds at least -sum a_i[head] * a_j[tail],
+and over all pairs those terms sum to at most sum_arrows (sum_i
+a_i[head]) (sum_j a_j[tail]) <= H.  At any node of any bracketing the
+monomial's exponent is the final one minus the series exponents of the
+factors outside the node (all >= 0 in a dilogarithm) and minus the skew
+forms of the pairs not inside it, so at most the final exponent + H.  A
+digit dropped past the working cutoff at any node therefore lands past
+v_max in the final product, and a monomial that leaves the bound at a
+node leaves it in the product too.  So every coefficient read back
+through coefficient() is exact however a product was parenthesized, and
+factorization_product may multiply each block out on its own.
 
 Every series of a dilogarithm product obeys a parity rule: the
 coefficient of y_gamma has only v exponents of the parity of chi(gamma,
@@ -62,8 +71,9 @@ cancel is left out, so a product never holds a zero series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from itertools import groupby
+from operator import itemgetter, mul
 from typing import Mapping
 
 from .errors import (
@@ -281,16 +291,23 @@ def dilog(q: Quiver, gamma: DimVector, bound: DimVector, v_max: int) -> QuantumE
     return _element(q, bound, v_max, terms)
 
 
+def _chain(q: Quiver, roots: list[DimVector], bound: DimVector, v_max: int) -> QuantumElement:
+    """Product of the dilogarithms of roots, left to right, from the first one's."""
+    if not roots:
+        return identity(q, bound, v_max)
+    out = dilog(q, roots[0], bound, v_max)
+    for root in roots[1:]:
+        out = qt_multiply(out, dilog(q, root, bound, v_max))
+    return out
+
+
 def trivial_dt(q: Quiver, bound: DimVector, v_max: int) -> QuantumElement:
     """Product of the simple-root dilogarithms in topological vertex order.
 
     This is the combinatorial DT invariant of the quiver, truncated; it is
     the reference side of every factorization identity here.
     """
-    out = identity(q, bound, v_max)
-    for v in topological_vertex_order(q):
-        out = qt_multiply(out, dilog(q, q.unit(v), bound, v_max))
-    return out
+    return _chain(q, [q.unit(v) for v in topological_vertex_order(q)], bound, v_max)
 
 
 def factorization_product(
@@ -299,6 +316,12 @@ def factorization_product(
     """Product of root dilogarithms along a root order.
 
     The order is validated against its partition's pairing rules first.
+    Each maximal run of one block's roots is multiplied out on its own, and
+    the run products are joined left to right.  Blocks have disjoint
+    supports, so joining a block's product onto other blocks' keeps every
+    term pair inside the box and meets each target once; an interleaved
+    order just has more runs.  Any bracketing gives the same coefficients
+    up to v_max (see the module docstring).
     """
     verdict = validate_order(q, order.partition, order)
     if not verdict.valid:
@@ -306,10 +329,9 @@ def factorization_product(
         raise InvalidOrderError(
             f"order violates the {rule} rule at positions {u},{v} (skew form {val})"
         )
-    out = identity(q, bound, v_max)
-    for entry in order.entries:
-        out = qt_multiply(out, dilog(q, entry.root, bound, v_max))
-    return out
+    runs = [_chain(q, [e.root for e in run], bound, v_max)
+            for _, run in groupby(order.entries, key=itemgetter(1))]
+    return reduce(qt_multiply, runs) if runs else identity(q, bound, v_max)
 
 
 @dataclass(frozen=True)

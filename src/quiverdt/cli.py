@@ -381,11 +381,14 @@ def _strata_inputs(args: argparse.Namespace):
 def cmd_codim(args: argparse.Namespace, rep: Reporter) -> int:
     q, p, gamma, given = _strata_inputs(args)
     rows = kostant_series(q, p, gamma, cap=args.cap) if given is None else [given]
-    for j, block in enumerate(p.induced):
-        roots = ", ".join(str(r) for r in reineke_inner_order(block))
+    positions = []  # each block's inner order, printed once and read by every report
+    for j, (block, kp) in enumerate(zip(p.induced, rows[0].per_block)):
+        order = reineke_inner_order(block)
+        positions.append(tuple(map(kp.root_set.index, order)))
+        roots = ", ".join(str(r) for r in order)
         rep.text(f"block {j + 1} {{{','.join(p.blocks[j])}}} inner root order: {roots}")
     for m in rows:
-        report = codim_of_stratum(q, p, m, gamma)
+        report = codim_of_stratum(q, p, m, gamma, positions)
         lists = [list(b) for b in report.lists]
         rep.text(f"m={lists}  codim={report.codim}  sign_parity={report.sign_exponent_parity}")
         rep.row(

@@ -3,7 +3,8 @@
 Coefficients are Python integers; there is no rational or floating
 fallback, and any computation that would need one is a bug surfaced as
 an error.  A series carries its truncation order v_max and keeps every
-exponent up to and including it.  Mixing truncation orders is an error.
+exponent up to and including it.  Adding series of different truncation
+orders is an error; a product is cut where both factors still determine it.
 
 Products use Kronecker substitution.  A coefficient run c_0..c_(n-1) is
 packed into the one signed integer sum(c_i * 2^(B*i)), so a product of
@@ -213,16 +214,19 @@ class VSeries:
         return self + (-other)
 
     def __mul__(self, other: VSeries | int) -> VSeries:
-        """The product of the coefficient runs, cut at v_max.  It is exact to
-        v_max for exact polynomials; when a factor stands for a longer series
-        cut at v_max, only up to v_max + min(0, self.min_exp, other.min_exp).
+        """The product, returned at its true precision: each factor may stand
+        for a longer series cut at its v_max, whose missing terms reach the
+        product from v_max + the other's min_exp on.  So the product is cut at
+        min(self.v_max + min(0, other.min_exp), other.v_max + min(0, self.min_exp)),
+        v_max + min(0, self.min_exp, other.min_exp) for one v_max, and never
+        claims a coefficient it cannot know.
         """
         if isinstance(other, int):
             return VSeries(self.v_max, self.min_exp, tuple(other * c for c in self.coeffs))
-        self._check(other)
+        v_max = min(self.v_max + min(0, other.min_exp), other.v_max + min(0, self.min_exp))
         acc = PackedSum(product_width([self], [other]))
-        convolve_into(acc, self, other, 0, 1, self.v_max)
-        return acc.series(self.v_max)
+        convolve_into(acc, self, other, 0, 1, v_max)
+        return acc.series(v_max)
 
     def __rmul__(self, other: int) -> VSeries:
         return self.__mul__(other)

@@ -218,18 +218,24 @@ def _solve_codim(nf: MonomialNormalForm, m: KostantSeries, parity: int) -> int:
 
 
 def codim_of_stratum(
-    q: Quiver, p: SubquiverPartition, m: KostantSeries, gamma: DimVector
+    q: Quiver,
+    p: SubquiverPartition,
+    m: KostantSeries,
+    gamma: DimVector,
+    positions: Sequence[Sequence[int]] | None = None,
 ) -> CodimReport:
     """Complex codimension of the stratum named by m inside gamma's space.
 
     Block codimensions are dim Ext^1 from the Euler form.  An admissible
     partition's codimension solves the full ordered-monomial normal form;
     any other's is the sum over blocks, the same number where both exist.
+    positions from inner_positions of a series on m's partition save the
+    inner orders.
     """
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
-    positions = inner_positions(m)
+    positions = positions or inner_positions(m)
     blocks = tuple(kp.orbit_codim() for kp in m.per_block)
     parity = sum(k * (r.height - 1) for kp in m.per_block for r, k in kp.nonzero()) % 2
     try:

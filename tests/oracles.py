@@ -21,12 +21,15 @@ from quiverdt import (
     VSeries,
     admissible_total_order,
     codim_of_stratum,
+    dilog,
     expected_root_multiset,
+    identity,
     inner_lists,
     kostant_series,
     make_partition,
     monomial_normal_form,
     poincare_series,
+    qt_multiply,
     validate_order,
 )
 from quiverdt.quiver import Arrow
@@ -522,3 +525,53 @@ def brute_force_valid_orders(q: Quiver, p, max_roots: int = 8):
         if validate_order(q, p, perm).valid:
             found.append(perm)
     return found
+
+
+def chain_factorization_product(q: Quiver, order, bound, v_max: int):
+    """The dilogarithm product along order, one root at a time onto the
+    growing product, from the identity; the order is not validated."""
+    out = identity(q, bound, v_max)
+    for entry in order.entries:
+        out = qt_multiply(out, dilog(q, entry.root, bound, v_max))
+    return out
+
+
+def random_orientation(rng: random.Random, vertices, edges) -> Quiver:
+    """The graph with each edge pointing down a random vertex ranking, so acyclic."""
+    rank = {v: i for i, v in enumerate(rng.sample(list(vertices), len(vertices)))}
+    arrows = [(f"e{k}", *sorted((x, y), key=rank.get, reverse=True)) for k, (x, y) in enumerate(edges)]
+    return build_quiver(list(vertices), arrows)
+
+
+def random_valid_order(rng: random.Random, q: Quiver, entries) -> tuple:
+    """A random permutation of entries that keeps every pair the pairing rules
+    fix: same block, skew(u, v) < 0 puts v first; different blocks, skew(u, v)
+    > 0 does.  A Kahn sort of those constraints taking a random ready entry."""
+    entries = list(entries)
+    names = {a.name for a in q.arrows}
+    n = len(entries)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            (ri, bi), (rj, bj) = entries[i], entries[j]
+            s = skew_form_restricted(q, names, ri, rj)
+            if s and (s < 0) == (bi == bj):
+                first, then = j, i
+            elif s:
+                first, then = i, j
+            else:
+                continue
+            succ[first].append(then)
+            indeg[then] += 1
+    ready = [i for i in range(n) if not indeg[i]]
+    out = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        out.append(entries[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    assert len(out) == n, "the pairing rules left a cycle"
+    return tuple(out)

@@ -1,7 +1,12 @@
 """Quantum algebra elements, dilogarithms, factorization verification."""
 from __future__ import annotations
 
+import random
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from quiverdt import (
@@ -25,6 +30,7 @@ from quiverdt import (
     qt_multiply,
     skew_form,
     trivial_dt,
+    validate_order,
     verify_factorization,
 )
 from quiverdt import algebra as algebra_mod
@@ -634,3 +640,98 @@ def test_dt_coefficients_have_non_negative_q_support(a2, a2_rev, a3,
         el = trivial_dt(q, bound, 20)
         for g in el.support():
             assert all(e >= 0 for e, _ in el.coefficient(g).items())
+
+
+GRAPHS = {  # vertices and undirected edges of the seeded orientations
+    "A4": (["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")]),
+    "D4": (["c", "1", "2", "3"], [("c", "1"), ("c", "2"), ("c", "3")]),
+    "Atilde3": (["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]),
+}
+
+
+def block_runs(order) -> int:
+    return 1 + sum(a.block != b.block for a, b in zip(order.entries, order.entries[1:]))
+
+
+def file_and_seeded_quivers(quiver_dir):
+    quivers = [parse_quiver(f.read_text()) for f in sorted(quiver_dir.glob("*.json"))]
+    for name, (vertices, edges) in GRAPHS.items():
+        rng = random.Random(name)
+        quivers += [oracles.random_orientation(rng, vertices, edges) for _ in range(2)]
+    return quivers
+
+
+@pytest.mark.parametrize("entry", [2, 3])
+def test_block_products_match_the_root_at_a_time_chain(quiver_dir, entry):
+    """Every admissible partition of quivers/*.json and of seeded A4, D4 and
+    Atilde3 orientations: the same coefficient at every gamma up to v_max."""
+    checked = 0
+    for q in file_and_seeded_quivers(quiver_dir):
+        bound = bound_of(q, entry)
+        for p in enumerate_partitions(q, admissible_only=True):
+            order = admissible_total_order(q, p)
+            got = factorization_product(q, order, bound, 40)
+            want = oracles.chain_factorization_product(q, order, bound, 40)
+            assert not oracles.coefficient_mismatches(got, want), (q.arrows, p)
+            checked += 1
+    assert checked > 40
+
+
+def test_every_valid_order_of_a_small_partition_gives_the_same_product(a3, atilde2):
+    """All valid orders, interleaved ones included, found by brute force."""
+    interleaved = 0
+    for q, blocks in ((a3, [["1"], ["2", "3"]]), (a3, [["1", "2"], ["3"]]),
+                      (atilde2, [["1"], ["2", "3"]])):
+        base = admissible_total_order(q, make_partition(q, blocks))
+        p, bound = base.partition, bound_of(q, 2)
+        want = oracles.chain_factorization_product(q, base, bound, V_MAX)
+        for entries in oracles.brute_force_valid_orders(q, p):
+            order = RootOrder(q, p, entries, "brute force")
+            interleaved += block_runs(order) > p.size
+            got = factorization_product(q, order, bound, V_MAX)
+            assert not oracles.coefficient_mismatches(got, want), entries
+    assert interleaved
+
+
+@lru_cache(maxsize=None)
+def multi_block_orders() -> list:
+    """The admissible order of every partition with two or more blocks, over
+    quivers/*.json and the seeded orientations."""
+    quivers = file_and_seeded_quivers(Path(__file__).resolve().parent.parent / "quivers")
+    return [admissible_total_order(q, p) for q in quivers
+            for p in enumerate_partitions(q, admissible_only=True) if p.size > 1]
+
+
+@given(pick=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_random_valid_interleaved_orders_give_the_same_product(pick, seed):
+    """Random orders the pairing rules allow, which may split a block into
+    several runs, multiply out to the root-at-a-time chain's coefficients."""
+    orders = multi_block_orders()
+    base = orders[pick % len(orders)]
+    q, p = base.quiver, base.partition
+    entries = oracles.random_valid_order(random.Random(seed), q, base.entries)
+    assert validate_order(q, p, entries).valid
+    order = RootOrder(q, p, entries, "random")
+    bound = bound_of(q, 2)
+    got = factorization_product(q, order, bound, V_MAX)
+    want = oracles.chain_factorization_product(q, order, bound, V_MAX)
+    assert not oracles.coefficient_mismatches(got, want)
+
+
+def test_join_of_disjoint_blocks_convolves_once_per_target(a4, monkeypatch):
+    """Joining two blocks' products: every target whose two parts are both
+    non-zero gets one convolve_into, and the others are handed through."""
+    order = admissible_total_order(a4, make_partition(a4, [["1", "2"], ["3", "4"]]))
+    bound = bound_of(a4, 2)
+    x, y = (algebra_mod._chain(a4, [e.root for e in order.entries if e.block == j], bound, V_MAX)
+            for j in range(2))
+    targets = []
+    real = algebra_mod.convolve_into
+    monkeypatch.setattr(algebra_mod, "convolve_into",
+                        lambda acc, *args: targets.append(acc) or real(acc, *args))
+    joined = qt_multiply(x, y)
+    assert len(targets) == (len(x.terms) - 1) * (len(y.terms) - 1) > 0
+    assert len({id(acc) for acc in targets}) == len(targets)
+    assert len(joined.terms) == len(x.terms) * len(y.terms)
+    assert joined.terms == factorization_product(a4, order, bound, V_MAX).terms

@@ -21,6 +21,13 @@ def series(terms, v_max=24):
     return VSeries.from_terms(v_max, terms)
 
 
+def kernel_product(a, b, v_max):
+    """a * b as exact polynomials, cut at v_max: one packed sum, one convolve."""
+    acc = series_mod.PackedSum(series_mod.product_width([a], [b]))
+    series_mod.convolve_into(acc, a, b, 0, 1, v_max)
+    return acc.series(v_max)
+
+
 def test_canonical_strips_zero_margins():
     s = VSeries(10, 2, (0, 0, 3, 0, 1, 0))
     assert s.min_exp == 4 and s.coeffs == (3, 0, 1)
@@ -63,12 +70,17 @@ def test_mul_commutative_associative(a, b, c):
 @given(a=wide_dicts, b=wide_dicts, v_max=st.integers(-10, 28))
 @settings(max_examples=300)
 def test_mul_matches_naive_convolution(a, b, v_max):
+    """The packed kernel keeps every product term up to v_max; the product
+    keeps them up to its precision, lowered by a negative min_exp."""
     a = {e: c for e, c in a.items() if e <= v_max}
     b = {e: c for e, c in b.items() if e <= v_max}
-    got = series(a, v_max) * series(b, v_max)
+    sa, sb = series(a, v_max), series(b, v_max)
     want = [(e, c) for e, c in oracles.naive_poly_mul(list(a.items()), list(b.items()))
             if e <= v_max]
-    assert list(got.items()) == want
+    assert list(kernel_product(sa, sb, v_max).items()) == want
+    got = sa * sb
+    assert got.v_max == v_max + min(0, sa.min_exp, sb.min_exp)
+    assert list(got.items()) == [(e, c) for e, c in want if e <= got.v_max]
 
 
 @given(coeffs=st.lists(wide_coeffs | st.just(0), max_size=12), min_exp=st.integers(-12, 14),
@@ -97,9 +109,11 @@ def test_memo_keeps_norms_and_halves_at_the_last_width():
 def test_packed_mul_keeps_the_term_exactly_at_v_max():
     a = series({-3: 2**200, 5: -1}, v_max=7)
     b = series({-4: 3, 2: 1, 3: 4, 7: -(2**70)}, v_max=7)
-    got = a * b
+    got = kernel_product(a, b, 7)
     assert got.to_pairs() == [[-7, 3 * 2**200], [-1, 2**200], [0, 4 * 2**200], [1, -3],
                               [4, -(2**270)], [7, -1]]
+    # a's terms past v^7 would reach the product from v^(7 - 4) on
+    assert a * b == VSeries(3, got.min_exp, got.coeffs)
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 72, 200])
@@ -300,3 +314,26 @@ def test_times_poincare_is_exact_where_the_product_is_cut():
     s = VSeries(4, -2, (1,))
     assert times_poincare(s, 1) == VSeries(4, -2, (1, 0, 1, 0, 1, 0, 1))
     assert (s * poincare_series(1, 4)).coefficient(2) == 1
+
+
+def test_mul_is_cut_where_a_negative_exponent_meets_missing_terms():
+    """q^-1 * P_1 cut at v^0: the product's v^0 term would need P_1's q^1,
+    which the cut left out, so the product stops at v^-2."""
+    got = VSeries(0, -2, (1,)) * poincare_series(1, 0)
+    assert got == VSeries(-2, -2, (1,))
+    with pytest.raises(InvalidInputError):
+        got.coefficient(0)
+    assert times_poincare(VSeries(0, -2, (1,)), 1).coefficient(0) == 1
+    # factors cut at different orders: 1 + v cut at v^6, times v^-1, is known up to v^5
+    assert VSeries(9, -1, (1,)) * VSeries(6, 0, (1, 1)) == VSeries(5, -1, (1, 1))
+
+
+@given(q_coeffs=st.lists(wide_coeffs, max_size=30), low=st.integers(-12, 12),
+       k=st.integers(0, 12), v_max=st.integers(0, 41))
+@settings(max_examples=200)
+@example(q_coeffs=[1], low=-1, k=1, v_max=0)
+def test_mul_by_poincare_is_times_poincare_at_the_product_precision(q_coeffs, low, k, v_max):
+    s = q_series(v_max, low, q_coeffs)
+    got, want = s * poincare_series(k, v_max), times_poincare(s, k)
+    assert got.v_max == v_max + min(0, s.min_exp)
+    assert got == VSeries(got.v_max, want.min_exp, want.coeffs)

@@ -20,6 +20,7 @@ from quiverdt import (
     codim_of_stratum,
     enumerate_partitions,
     inner_lists,
+    inner_positions,
     kostant_partitions,
     kostant_series,
     make_partition,
@@ -534,3 +535,20 @@ def test_orbit_decomposition_rejects_every_non_path(request, name, blocks, shape
     m = kostant_series(q, p, g)[0]
     with pytest.raises(NotTypeAError, match=rf"needs type A; the quiver is {re.escape(shape)}"):
         stratum_orbit_decomposition(q, p, m, g)
+
+
+def test_codim_with_shared_positions_is_codim_without(quiver_dir, monkeypatch):
+    """Positions passed in give the same report on every partition of
+    quivers/*.json at gamma = all-2, and spare every inner order."""
+    from quiverdt import strata
+
+    for f in sorted(quiver_dir.glob("*.json")):
+        q = parse_quiver(f.read_text())
+        gamma = q.vector({v: 2 for v in q.vertices})
+        for p in enumerate_partitions(q):
+            series = kostant_series(q, p, gamma)
+            positions = inner_positions(series[0])
+            want = [codim_of_stratum(q, p, m, gamma) for m in series]
+            with monkeypatch.context() as patched:
+                patched.setattr(strata, "reineke_inner_order", None)
+                assert [codim_of_stratum(q, p, m, gamma, positions) for m in series] == want
