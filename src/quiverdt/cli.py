@@ -92,9 +92,12 @@ def _load_quiver(args: argparse.Namespace) -> Quiver:
     except (OSError, UnicodeError) as e:
         raise QuiverDtError(f"cannot read quiver file {args.quiver}: {e}") from None
     try:
-        return parse_quiver(text)
+        q = parse_quiver(text)
     except QuiverParseError as e:
         raise QuiverParseError(f"quiver file {args.quiver}: {e}") from None
+    if not q.vertices:  # no command has anything to do on it
+        raise QuiverDtError("argument --quiver: empty quiver")
+    return q
 
 
 @contextmanager

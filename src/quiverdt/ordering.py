@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .dynkin import positive_roots
+from .dynkin import DynkinType, positive_roots
 from .errors import ConstraintCycleError, InvalidOrderError
 from .partitions import SubquiverPartition, order_blocks
 from .quiver import DimVector, Quiver, _kahn_order, _shortest_cycle, skew_form
@@ -95,6 +96,37 @@ def expected_root_multiset(q: Quiver, p: SubquiverPartition) -> Counter:
     return expected
 
 
+def _root_count(t: DynkinType) -> int:
+    """Number of positive roots of a simply laced Dynkin type."""
+    n = t.rank
+    if t.family == "A":
+        return n * (n + 1) // 2
+    if t.family == "D":
+        return n * (n - 1)
+    return {6: 36, 7: 63, 8: 120}[n]
+
+
+def _is_root_permutation(q: Quiver, p: SubquiverPartition, entries: tuple) -> bool:
+    """True when entries list every positive root of every block of p once,
+    decided without enumerating any root (see validate_order)."""
+    if p.quiver != q or len(set(entries)) != len(entries):
+        return False
+    block_of = {q.index(v): j for j, b in enumerate(p.blocks) for v in b}
+    count = [0] * p.size
+    for entry in entries:
+        if not isinstance(entry, tuple) or len(entry) != 2 or not isinstance(entry[0], DimVector):
+            return False
+        root, j = entry
+        if root.vertices != q.vertices or type(j) is not int or not 0 <= j < p.size:
+            return False
+        if any(x and block_of[i] != j for i, x in enumerate(root.values)):
+            return False
+        if q.euler_values(root.values, root.values) != 1:
+            return False
+        count[j] += 1
+    return count == [_root_count(t) for t in p.types]
+
+
 def validate_order(
     q: Quiver, p: SubquiverPartition, candidate: RootOrder | Sequence[RootEntry]
 ) -> OrderVerdict:
@@ -104,27 +136,43 @@ def validate_order(
     blocks: skew(phi_u, phi_v) <= 0.
 
     Raises InvalidOrderError when the candidate is not a permutation of
-    the expected root multiset.
+    the expected root multiset.  That is decided without enumerating the
+    roots again.  By Gabriel's theorem the positive roots of a Dynkin
+    block are exactly its non-negative vectors of Tits form
+    q(x) = sum x_i^2 - sum_arrows x_t x_h equal to 1, and the full
+    quiver's Tits form on a vector supported inside a block is the
+    block's own, since the block keeps every arrow between its vertices.
+    So a candidate whose entries are distinct, each of Tits form 1 and
+    supported inside its block, and whose block j has as many entries as
+    p.types[j] has positive roots (A_n: n(n+1)/2, D_n: n(n-1), E6/E7/E8:
+    36/63/120), lists each block's roots exactly once.  Any other
+    candidate is compared with expected_root_multiset, which names what is
+    missing and what is extra.
     """
     entries = tuple(candidate.entries if isinstance(candidate, RootOrder) else candidate)
-    expected = expected_root_multiset(q, p)
-    got = Counter(entries)
-    if got != expected:
-        missing = list((expected - got).elements())
-        extra = list((got - expected).elements())
-        raise InvalidOrderError(
-            f"candidate is not a permutation of the expected roots; "
-            f"missing {[(str(e.root), e.block) for e in missing]}, "
-            f"extra {[(str(e.root), e.block) for e in extra]}"
-        )
+    if not _is_root_permutation(q, p, entries):
+        expected = expected_root_multiset(q, p)
+        got = Counter(entries)
+        if got != expected:
+            missing = list((expected - got).elements())
+            extra = list((got - expected).elements())
+            raise InvalidOrderError(
+                f"candidate is not a permutation of the expected roots; "
+                f"missing {[(str(e.root), e.block) for e in missing]}, "
+                f"extra {[(str(e.root), e.block) for e in extra]}"
+            )
+    pairs = q._arrow_pairs
     for u in range(len(entries)):
         ru, ju = entries[u]
+        row = [0] * q.n  # skew(ru, w) = sum of row[i] * w[i]
+        for t, h in pairs:
+            row[h] += ru.values[t]
+            row[t] -= ru.values[h]
         for v in range(u + 1, len(entries)):
             rv, jv = entries[v]
-            val = skew_form(q, ru, rv)
+            val = sum(map(mul, row, rv.values))
             if ju == jv and val < 0:
                 return OrderVerdict(False, (u, v, "within-block", val))
             if ju != jv and val > 0:
                 return OrderVerdict(False, (u, v, "across-blocks", val))
     return OrderVerdict(True, None)
-

@@ -15,11 +15,12 @@ for wider B.
 
 Each series is packed as its two exponent-parity halves, coeffs[0::2] and
 coeffs[1::2], each a run in q-steps (v^2 = q); a half that is all zero is
-not packed.  A product multiplies the non-empty half pairs into one packed
-sum per exponent parity, so two series of one parity each (every series of
-a dilogarithm product, see algebra) multiply as one product of half-length
-runs, and mixed series take at most four, which cost no more than the one
-full-length multiply they replace.
+not packed.  Two series of one parity each (every series of a dilogarithm
+product, see algebra) multiply as one product of half-length runs, which
+product() unpacks directly.  Mixed series take at most four half products,
+which cost no more than the one full-length multiply they replace, summed
+in a PackedSum: one packed sum per exponent parity.  A PackedSum also
+sums the several products that meet at one target of a torus product.
 
 The digit width B is chosen per product from a proven bound on every
 output coefficient: |c_e| <= sum_i |a_i| |b_(e-i)| <= L1(a) * Linf(b), and
@@ -44,7 +45,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InconsistencyError, InvalidInputError, TruncationMismatchError
 
@@ -224,9 +225,7 @@ class VSeries:
         if isinstance(other, int):
             return VSeries(self.v_max, self.min_exp, tuple(other * c for c in self.coeffs))
         v_max = min(self.v_max + min(0, other.min_exp), other.v_max + min(0, self.min_exp))
-        acc = PackedSum(product_width([self], [other]))
-        convolve_into(acc, self, other, 0, 1, v_max)
-        return acc.series(v_max)
+        return product(self, other, 0, 1, v_max, product_width([self], [other]))
 
     def __rmul__(self, other: int) -> VSeries:
         return self.__mul__(other)
@@ -321,7 +320,11 @@ class PackedSum:
 
     def pack(self, s: VSeries) -> tuple[tuple[int, int, int, int], ...]:
         """The parity halves of s packed at 2^width (see _halves), kept in s's
-        memo until s is packed at another width."""
+        memo until s is packed at another width.
+
+        Every series is packed here; product, which keeps no sum, passes a
+        _Width for self.
+        """
         memo = s._memo or _measure(s)
         if memo[2] != self.width:
             memo[3], memo[2] = _halves(s.coeffs, self.width), self.width
@@ -367,6 +370,46 @@ class PackedSum:
         for lo, digits in runs:
             out[lo - low:lo - low + 2 * len(digits) - 1:2] = digits
         return VSeries._canonical(v_max, *_trim(v_max, low, tuple(out)))
+
+
+class _Width(NamedTuple):
+    """A digit width with no sum kept at it (see PackedSum.pack)."""
+
+    width: int
+
+
+_WIDTHS = {w: _Width(w) for w in _WORD_CODES}
+
+
+def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: int) -> VSeries:
+    """sign * v^shift * a * b cut at v_max, multiplied at 2^width per digit.
+
+    When a and b each have one exponent parity, their two packed halves
+    (from their memos) make one bigint product, unpacked once with the sum
+    check of _unpack; no PackedSum is built.  Otherwise the up to four half
+    products are summed in one PackedSum.  As in PackedSum.series, digits
+    past v_max are unpacked for the checks and then cut.
+    """
+    low = a.min_exp + b.min_exp + shift
+    if low > v_max or not a.coeffs or not b.coeffs:
+        return VSeries._canonical(v_max, 0, ())
+    at = _WIDTHS.get(width) or _Width(width)
+    xs, ys = PackedSum.pack(at, a), PackedSum.pack(at, b)
+    if len(xs) > 1 or len(ys) > 1:
+        acc = PackedSum(width)
+        acc.add_product(low, xs, ys, sign)
+        return acc.series(v_max)
+    # a single-parity canonical run is its even half, whose first and last
+    # digits are nonzero; so are the product's, and only the cut leaves zeros
+    (_, pa, na, ca), = xs
+    (_, pb, nb, cb), = ys
+    digits = _unpack(sign * pa * pb, na + nb - 1, width, sign * ca * cb)
+    keep = min(len(digits), (v_max - low) // 2 + 1)
+    out = [0] * (2 * keep - 1)
+    out[::2] = digits[:keep]
+    while not out[-1]:
+        out.pop()
+    return VSeries._canonical(v_max, low, tuple(out))
 
 
 def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int, v_max: int) -> None:

@@ -14,6 +14,7 @@ from quiverdt import (
     DimVector,
     InvalidInputError,
     InvalidOrderError,
+    QuantumElement,
     RootOrder,
     TruncationMismatchError,
     VSeries,
@@ -227,15 +228,21 @@ def _parities(s):
 
 def test_dilog_products_obey_the_parity_rule(quiver_dir, monkeypatch):
     """Every coefficient of y_gamma has exponents of the parity of chi(gamma, gamma),
-    and no multiply of a dilogarithm chain sees an operand of mixed parity."""
-    seen = []
+    and no multiply of a dilogarithm chain, summed or lone, sees an operand of
+    mixed parity."""
+    seen, lone = [], []
 
     def single_parity_convolve(acc, a, b, *rest):
         seen.append((_parities(a), _parities(b)))
         return convolve(acc, a, b, *rest)
 
-    convolve = algebra_mod.convolve_into
+    def single_parity_product(a, b, *rest):
+        lone.append((_parities(a), _parities(b)))
+        return product(a, b, *rest)
+
+    convolve, product = algebra_mod.convolve_into, algebra_mod.product
     monkeypatch.setattr(algebra_mod, "convolve_into", single_parity_convolve)
+    monkeypatch.setattr(algebra_mod, "product", single_parity_product)
     for path in sorted(quiver_dir.glob("*.json")):
         q = parse_quiver(path.read_text())
         bound = bound_of(q, 2)
@@ -246,6 +253,7 @@ def test_dilog_products_obey_the_parity_rule(quiver_dir, monkeypatch):
             for g, s in el.terms.items():
                 assert _parities(s) == {euler_form(q, g, g) % 2}, (path.name, g, s)
     assert seen and all(len(pa) == len(pb) == 1 for pa, pb in seen)
+    assert lone and all(len(pa) == len(pb) == 1 for pa, pb in lone)
 
 
 def test_identity_is_multiplicative_unit(a2):
@@ -601,6 +609,19 @@ def test_verify_factorization_reports_mismatches_up_to_v_max_only(a3):
             g.height, g.values)) if seen else [])
 
 
+def test_verify_factorization_reports_terms_the_reference_lacks(a3):
+    """A gamma held only by the factorized side is a mismatch against zero."""
+    b = bound_of(a3, 2)
+    ref = trivial_dt(a3, b, V_MAX)
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    dropped = [a3.vector([1, 1, 0]), b]
+    partial = QuantumElement(a3, b, V_MAX, {g: s for g, s in ref.terms.items() if g not in dropped})
+    report = verify_factorization(a3, p, b, V_MAX, reference=partial)
+    assert not report.passed
+    assert [(g, lhs) for g, lhs, _ in report.mismatches] == [(g, VSeries.zero(V_MAX)) for g in dropped]
+    assert [rhs for _, _, rhs in report.mismatches] == [ref.coefficient(g) for g in dropped]
+
+
 def test_verification_report_fields(a3):
     p = make_partition(a3, [["1"], ["2", "3"]])
     b = bound_of(a3, 2)
@@ -719,19 +740,25 @@ def test_random_valid_interleaved_orders_give_the_same_product(pick, seed):
     assert not oracles.coefficient_mismatches(got, want)
 
 
-def test_join_of_disjoint_blocks_convolves_once_per_target(a4, monkeypatch):
+def test_join_of_disjoint_blocks_multiplies_once_per_target(a4, monkeypatch):
     """Joining two blocks' products: every target whose two parts are both
-    non-zero gets one convolve_into, and the others are handed through."""
+    non-zero gets one direct product, the others are handed through, and no
+    PackedSum is built."""
     order = admissible_total_order(a4, make_partition(a4, [["1", "2"], ["3", "4"]]))
     bound = bound_of(a4, 2)
     x, y = (algebra_mod._chain(a4, [e.root for e in order.entries if e.block == j], bound, V_MAX)
             for j in range(2))
-    targets = []
-    real = algebra_mod.convolve_into
-    monkeypatch.setattr(algebra_mod, "convolve_into",
-                        lambda acc, *args: targets.append(acc) or real(acc, *args))
+    products, sums = [], []
+    real_product, real_init = algebra_mod.product, series_mod.PackedSum.__init__
+    monkeypatch.setattr(algebra_mod, "product",
+                        lambda a, b, *rest: products.append((a, b)) or real_product(a, b, *rest))
+    monkeypatch.setattr(series_mod.PackedSum, "__init__",
+                        lambda acc, width: sums.append(acc) or real_init(acc, width))
     joined = qt_multiply(x, y)
-    assert len(targets) == (len(x.terms) - 1) * (len(y.terms) - 1) > 0
-    assert len({id(acc) for acc in targets}) == len(targets)
+    parts = [(a, b) for g, a in x.terms.items() if not g.is_zero
+             for h, b in y.terms.items() if not h.is_zero]
+    assert len(products) == len(parts) == (len(x.terms) - 1) * (len(y.terms) - 1) > 0
+    assert {(id(a), id(b)) for a, b in products} == {(id(a), id(b)) for a, b in parts}
+    assert not sums
     assert len(joined.terms) == len(x.terms) * len(y.terms)
     assert joined.terms == factorization_product(a4, order, bound, V_MAX).terms

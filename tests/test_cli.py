@@ -93,6 +93,14 @@ def test_roots_with_partition_order(capsys, a3_path):
     assert "OK: admissible order with 4 roots" in out
 
 
+def test_roots_with_partition_numbers_each_root_and_its_block(capsys, a3_path):
+    code, out, _ = run(capsys, "roots", "--quiver", a3_path,
+                       "--partition", '[["2","3"],["1"]]')
+    assert code == 0
+    assert out.splitlines()[1:5] == ["  1. (1,0,0)  (block 1)", "  2. (0,0,1)  (block 2)",
+                                     "  3. (0,1,1)  (block 2)", "  4. (0,1,0)  (block 2)"]
+
+
 def test_roots_non_admissible_exits_2(capsys, quiver_dir):
     code, out, err = run(capsys, "roots", "--quiver", str(quiver_dir / "atilde2.json"),
                          "--partition", '[["1","3"],["2"]]')
@@ -144,6 +152,32 @@ def test_factorize_fail_exits_1(capsys, a3_path, monkeypatch):
                        "--partition", '[["1"],["2","3"]]')
     assert code == 1
     assert "FAIL: 1 mismatched coefficients" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_factorize_all_partitions_counts_the_failures(capsys, a3_path, monkeypatch, fmt):
+    """Two of a3's four admissible partitions made to fail: 2/4 verified, exit 1."""
+    real = cli.verify_factorization
+
+    def sabotage(q, p, bound, v_max, reference=None):
+        report = real(q, p, bound, v_max, reference=reference)
+        if p.size != 2:
+            return report
+        bad = ((q.vector([1, 0, 0]), cli.VSeries.one(v_max), cli.VSeries.zero(v_max)),)
+        return type(report)(report.quiver, report.partition, report.order,
+                            report.bound, report.v_max, False, bad)
+
+    monkeypatch.setattr(cli, "verify_factorization", sabotage)
+    code, out, _ = run(capsys, "factorize", "--quiver", a3_path, "--all-partitions",
+                       "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[-1] == "FAIL: 2/4 admissible partitions verified"
+        assert out.count("FAIL: 1 mismatched coefficients") == 2
+    else:
+        summary = jsonl_rows(out)[-1]
+        assert summary == {"type": "summary", "status": "FAIL", "verified": 2, "total": 4,
+                           "message": "2/4 admissible partitions verified"}
 
 
 def test_codim_enumerates_strata(capsys, a3_path):
@@ -606,3 +640,16 @@ def test_orbits_outside_type_a_names_the_quiver_flag(capsys, quiver_dir):
                          "--gamma", '{"c":1,"1":1,"2":1,"3":1}')
     assert code == 2 and not out
     assert err == "error: argument --quiver: orbit decomposition needs type A; the quiver is D4\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_empty_quiver_exits_2_naming_the_quiver_flag(capsys, tmp_path, command):
+    """Every command rejects a quiver file with no vertices before any work."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "arrows": []}))
+    extra = {"factorize": ["--all-partitions"]}.get(command, [])
+    if "--partition" in cli.COMMANDS[command][3]:
+        extra = ["--partition", "[]", "--gamma", "{}"]
+    code, out, err = run(capsys, command, "--quiver", str(path), *extra)
+    assert code == 2 and not out
+    assert err == "error: argument --quiver: empty quiver\n"

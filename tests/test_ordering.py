@@ -1,21 +1,30 @@
 """Admissible root orders: block-wise construction and rule checking."""
 from __future__ import annotations
 
+import random
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
 import oracles
 from quiverdt import (
+    DynkinType,
     InvalidOrderError,
     RootEntry,
     admissible_total_order,
+    classify_dynkin,
     enumerate_partitions,
     expected_root_multiset,
     induced_subquiver,
     make_partition,
+    parse_quiver,
+    positive_roots,
     reineke_inner_order,
     skew_form,
     validate_order,
 )
+from quiverdt import ordering as ordering_mod
 from oracles import brute_force_valid_orders
 
 
@@ -170,3 +179,100 @@ def test_adjacent_zero_skew_swap_stays_valid(a3, a4, d4):
                     swapped = list(entries)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
                     assert validate_order(q, p, swapped).valid
+
+
+GRAPHS = {  # vertices and undirected edges of the seeded orientations
+    "A5": (["1", "2", "3", "4", "5"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")]),
+    "D5": (["1", "2", "3", "4", "5"], [("1", "2"), ("2", "3"), ("3", "4"), ("3", "5")]),
+    "E6": (["1", "2", "3", "4", "5", "6"],
+           [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("3", "6")]),
+    "Atilde3": (["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]),
+}
+
+
+def file_and_seeded_partitions(quiver_dir):
+    """Every partition of quivers/*.json and of two seeded orientations of each graph."""
+    quivers = [parse_quiver(f.read_text()) for f in sorted(quiver_dir.glob("*.json"))]
+    for name, (vertices, edges) in GRAPHS.items():
+        rng = random.Random(name)
+        quivers += [oracles.random_orientation(rng, vertices, edges) for _ in range(2)]
+    return [(q, p) for q in quivers for p in enumerate_partitions(q)]
+
+
+def corruptions(q, p, entries):
+    """Named wrong candidates built from a right one."""
+    first = entries[0]
+    root, j = first
+    yield "dropped root", entries[1:]
+    yield "duplicated root", entries + (first,)
+    yield "duplicate in place of a root", entries[:-1] + (first,)
+    yield "block index out of range", (RootEntry(root, p.size),) + entries[1:]
+    yield "twice a root", (RootEntry(root * 2, j),) + entries[1:]
+    yield "zero vector", (RootEntry(q.zero(), j),) + entries[1:]
+    if p.size > 1:
+        yield "wrong block index", (RootEntry(root, (j + 1) % p.size),) + entries[1:]
+        other = next(e for e in entries if e.block != j)
+        yield "root of another block", (RootEntry(other.root, j),) + entries[1:]
+
+
+def permutation_message(expected, entries):
+    got = Counter(entries)
+    missing = [(str(e.root), e.block) for e in (expected - got).elements()]
+    extra = [(str(e.root), e.block) for e in (got - expected).elements()]
+    return (f"candidate is not a permutation of the expected roots; "
+            f"missing {missing}, extra {extra}")
+
+
+def test_root_count_check_accepts_what_the_enumeration_accepts(quiver_dir, monkeypatch):
+    """The Tits-form and root-count check says yes exactly where the enumerated
+    multiset agrees, on every partition; each corrupted candidate raises with
+    the enumeration's message."""
+    # each corrupted candidate enumerates its partition's roots again; once is enough here
+    monkeypatch.setattr(ordering_mod, "positive_roots", lru_cache(ordering_mod.positive_roots))
+    checked = 0
+    for q, p in file_and_seeded_partitions(quiver_dir):
+        expected = expected_root_multiset(q, p)
+        entries = tuple(expected)
+        assert ordering_mod._is_root_permutation(q, p, entries)
+        assert ordering_mod._is_root_permutation(q, p, entries[::-1])
+        for name, bad in corruptions(q, p, entries):
+            assert Counter(bad) != expected, name
+            assert not ordering_mod._is_root_permutation(q, p, bad), name
+            with pytest.raises(InvalidOrderError) as err:
+                validate_order(q, p, bad)
+            assert str(err.value) == permutation_message(expected, bad), name
+            checked += 1
+    assert checked > 600
+
+
+def test_root_count_check_follows_the_type_table():
+    """A_n: n(n+1)/2, D_n: n(n-1), E6/E7/E8: 36/63/120, as the enumeration
+    counts them for every type up to rank 6 and for E6."""
+    paths = {n: oracles.build_quiver([str(i) for i in range(n)],
+                                     [(f"a{i}", str(i + 1), str(i)) for i in range(n - 1)])
+             for n in range(1, 7)}
+    d = {n: oracles.build_quiver([str(i) for i in range(n)],
+                                 [(f"a{i}", str(i + 1), str(i)) for i in range(n - 2)]
+                                 + [("b", str(n - 1), str(n - 3))])
+         for n in range(4, 7)}
+    e6 = oracles.build_quiver([str(i) for i in range(6)],
+                              [(f"a{i}", str(i + 1), str(i)) for i in range(4)] + [("b", "5", "2")])
+    for q in [*paths.values(), *d.values(), e6]:
+        t = classify_dynkin(q)
+        assert ordering_mod._root_count(t) == len(positive_roots(q).roots), t
+    assert [ordering_mod._root_count(DynkinType("E", n)) for n in (6, 7, 8)] == [36, 63, 120]
+
+
+def test_valid_candidate_enumerates_no_roots(a4, d4, atilde2, monkeypatch):
+    """A right candidate is accepted without a positive_roots call."""
+    orders = [(q, p, admissible_total_order(q, p)) for q in (a4, d4, atilde2)
+              for p in enumerate_partitions(q, admissible_only=True)]
+
+    def refuse(_):
+        raise AssertionError("positive_roots called")
+
+    monkeypatch.setattr(ordering_mod, "positive_roots", refuse)
+    for q, p, order in orders:
+        assert validate_order(q, p, order).valid
+        backwards = order.entries[::-1]
+        assert validate_order(q, p, backwards) == oracles.validate_order_technical(q, p, backwards)

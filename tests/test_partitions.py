@@ -289,6 +289,18 @@ def test_kostant_series_counts_product_of_blocks(a3, rng):
         assert len(kostant_series(a3, p, g)) == expect
 
 
+def test_kostant_series_cap_is_exact_at_its_boundary(a4):
+    """Two A2 blocks with 2 Kostant partitions each: 4 series fit a cap of 4,
+    and a cap of 3 stops at the product, not in either block."""
+    from quiverdt import EnumerationCapError
+
+    p = make_partition(a4, [["1", "2"], ["3", "4"]])
+    gamma = a4.vector([1, 1, 1, 1])
+    assert len(kostant_series(a4, p, gamma, cap=4)) == 4
+    with pytest.raises(EnumerationCapError, match="more than 3 Kostant series"):
+        kostant_series(a4, p, gamma, cap=3)
+
+
 def test_kostant_series_entries_embed(a3):
     p = make_partition(a3, [["1"], ["2", "3"]])
     series = kostant_series(a3, p, a3.vector([2, 3, 2]))
