@@ -66,6 +66,26 @@ DimVector of each decoded target index is built once per vertex tuple and
 bound, in a table _box_index keeps.  Each y term's skew row is built once
 per call, so a pair's skew form is one dot product.
 
+verify_factorization multiplies every factor but the last one as
+factorization_product does, and leaves the last multiplication unbuilt.
+That multiplication runs the same pair loop (_contributions), and each
+target's packed runs are compared with the reference's series packed at
+the same digit width W: per exponent parity, the reference's run is
+subtracted, aligned at the lower first digit, and the difference is
+masked to the digits up to v_max.  The masked difference is zero exactly
+when the two agree up to v_max.  W is the larger of the L1 * Linf product
+width and the digit width of the reference's largest Linf, so both digit
+runs fit signed W-bit digits, and each digit d_i of the difference D =
+sum d_i 2^(W*i) has |d_i| < 2^W.  Let k digits lie up to v_max; the mask
+keeps the low W*k bits of D.  If d_0..d_(k-1) are all zero, D is a
+multiple of 2^(W*k) and the mask leaves 0.  Otherwise let d_j be the first
+nonzero one: D = 2^(W*j) * (d_j + 2^W * m) for an integer m, and d_j is
+not 0 mod 2^W, so the bits of D below W*(j + 1) <= W*k are not all zero.  Only a target that fails the test
+is unpacked, with the top-digit and v = 1 checks of series, to build its
+mismatch.  A target that matches is never unpacked, so its digit-sum check
+does not run; the proven width bound keeps its digits exact, as it does
+for every product.
+
 Work that depends on one series alone is done once per series, not once
 per product.  Its L1 and Linf, and its packed halves at the last digit
 width it was packed at, live in the series' memo (see series), and a
@@ -91,8 +111,8 @@ from .errors import (
 from .ordering import RootOrder, admissible_total_order, validate_order
 from .partitions import SubquiverPartition
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
-from .series import (PackedSum, VSeries, _trim, convolve_into, poincare_series, product,
-                     product_width)
+from .series import (PackedSum, VSeries, _digit_width, _measure, _packed, _trim, convolve_into,
+                     poincare_series, product, product_width)
 
 
 def working_v_max(q: Quiver, bound: DimVector, v_max: int) -> int:
@@ -213,10 +233,27 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     whose dimension vector leaves the bound is dropped.
     """
     x._check(y)
+    work = working_v_max(x.quiver, x.bound, x.v_max)
+    width = product_width(x.terms.values(), y.terms.values())
+    out = {}
+    for g, held in _contributions(x, y, width):
+        s = _series(held, work, width)
+        if s.coeffs:  # products that cancel leave no term
+            out[g] = s
+    return QuantumElement(x.quiver, x.bound, x.v_max, out)
+
+
+def _contributions(x: QuantumElement, y: QuantumElement, width: int) -> list:
+    """The pair loop of x * y: (gamma, what reached y_gamma) for every target
+    within the bound that a term pair reaches.
+
+    What reached a target is the series a unit y_0 term hands through, a
+    lone product (a, b, shift, sign), or the PackedSum at 2^width of two or
+    more contributions.  width must hold every digit (see product_width).
+    """
     q = x.quiver
     bound = x.bound.values
     work = working_v_max(q, x.bound, x.v_max)
-    width = product_width(x.terms.values(), y.terms.values())
     places, off, guard, keys = _box_index(q.vertices, bound)
     one = VSeries.one(work)
 
@@ -260,28 +297,101 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
             else:
                 target = held
             _add_term(target, term, work)
-    out = {}
+    out = []
     for t, held in acc.items():
-        if type(held) is not tuple:
-            g, s = keys.get(t), held.series(work)
-        elif len(held) == 2:
-            g, s = held
-        else:
-            g, s = keys.get(t), product(*held, work, width)
-        if g is None and s.coeffs:
+        if type(held) is tuple and len(held) == 2:  # keeps the operand's key
+            out.append(held)
+            continue
+        g = keys.get(t)
+        if g is None:
             values = tuple(t >> at & (1 << b.bit_length()) - 1 for at, b in zip(places, bound))
             g = keys[t] = DimVector(q.vertices, values)
-        if s.coeffs:  # products that cancel leave no term
-            out[g] = s
-    return QuantumElement(q, x.bound, x.v_max, out)
+        out.append((g, held))
+    return out
 
 
 def _add_term(acc: PackedSum, term: tuple, work: int) -> None:
-    """Add one contribution of qt_multiply to a target's PackedSum."""
+    """Add one contribution of a pair to a target's PackedSum."""
     if len(term) == 2:
         acc.put(term[1])
     else:
         convolve_into(acc, *term, work)
+
+
+def _series(held: VSeries | tuple | PackedSum, work: int, width: int) -> VSeries:
+    """The series a target's contributions sum to, cut at work; packed sums
+    and lone products are unpacked with the checks of series._unpack."""
+    if type(held) is VSeries:
+        return held
+    if type(held) is PackedSum:
+        return held.series(work)
+    return product(*held, work, width)
+
+
+def _agree(held: tuple | PackedSum, r: VSeries | None, width: int, v_max: int) -> bool:
+    """Whether a target's product contributions sum to r up to v^v_max, decided
+    on the packed runs at 2^width without unpacking them.
+
+    Each run, of the product and of r negated, is (low, value): digit 0 at
+    v^low, one digit per q-step.  The runs of one exponent parity are summed,
+    aligned at their lowest digit, and the difference is masked to the digits
+    up to v_max (see the module docstring).
+    """
+    if type(held) is PackedSum:
+        runs = [(c[0], c[2]) for c in held.classes if c]
+    else:
+        a, b, shift, sign = held
+        low = a.min_exp + b.min_exp + shift
+        runs = [(low + ka + kb, sign * pa * pb)
+                for ka, pa, _, _ in _packed(a, width) for kb, pb, _, _ in _packed(b, width)]
+    if r is not None:
+        runs += [(r.min_exp + k, -value) for k, value, _, _ in _packed(r, width)]
+    sums: dict[int, tuple[int, int]] = {}  # exponent parity -> (low, difference)
+    for low, value in runs:
+        prev = sums.get(low & 1)
+        if prev is not None:
+            lo, total = prev
+            if low < lo:
+                lo, low, total, value = low, lo, value, total
+            low, value = lo, total + (value << width * ((low - lo) >> 1))
+        sums[low & 1] = (low, value)
+    for lo, total in sums.values():
+        if lo <= v_max and total & (1 << width * ((v_max - lo) // 2 + 1)) - 1:
+            return False
+    return True
+
+
+def _mismatches(x: QuantumElement, y: QuantumElement, reference: QuantumElement,
+                v_max: int) -> list[tuple[DimVector, VSeries, VSeries]]:
+    """(gamma, reference side, product side) for every gamma within the bound
+    where reference and x * y differ up to v_max, by height then values.
+
+    x * y is not built: each target's packed contributions are compared with
+    the reference's packed series (see _agree), and only a target that
+    differs is unpacked.  The digit width holds the product's coefficients
+    (see product_width) and the reference's largest Linf.
+    """
+    ref = reference.terms
+    work = working_v_max(x.quiver, x.bound, v_max)
+    top = max(((s._memo or _measure(s))[1] for s in ref.values()), default=0)
+    width = max(product_width(x.terms.values(), y.terms.values()), _digit_width(top))
+    targets = _contributions(x, y, width)
+    differ, reached = [], 0
+    for g, held in targets:
+        r = ref.get(g)
+        reached += r is not None
+        if not (held == r if type(held) is VSeries else _agree(held, r, width, v_max)):
+            differ.append((g, r, held))
+    if reached < len(ref):  # the product is zero at a gamma it never reaches
+        seen = {g for g, _ in targets}
+        differ += [(g, r, None) for g, r in ref.items() if g not in seen]
+    out = []
+    for g, r, held in sorted(differ, key=lambda d: (d[0].height, d[0].values)):
+        a = _cut(r, v_max)
+        b = _cut(None if held is None else _series(held, work, width), v_max)
+        if a != b:
+            out.append((g, VSeries(v_max, *a), VSeries(v_max, *b)))
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -339,15 +449,30 @@ def factorization_product(
     order just has more runs.  Any bracketing gives the same coefficients
     up to v_max (see the module docstring).
     """
+    return qt_multiply(*_last_factors(q, order, bound, v_max))
+
+
+def _last_factors(
+    q: Quiver, order: RootOrder, bound: DimVector, v_max: int
+) -> tuple[QuantumElement, QuantumElement]:
+    """The product along a root order, but for its last multiplication: the
+    run products before the last run, joined, and the last run's; for a
+    single run, the product of its dilogarithms before the last one and that
+    last dilogarithm.  The order is validated against its partition's
+    pairing rules first."""
     verdict = validate_order(q, order.partition, order)
     if not verdict.valid:
         u, v, rule, val = verdict.violation
         raise InvalidOrderError(
             f"order violates the {rule} rule at positions {u},{v} (skew form {val})"
         )
-    runs = [_chain(q, [e.root for e in run], bound, v_max)
-            for _, run in groupby(order.entries, key=itemgetter(1))]
-    return reduce(qt_multiply, runs) if runs else identity(q, bound, v_max)
+    runs = [[e.root for e in run] for _, run in groupby(order.entries, key=itemgetter(1))]
+    if len(runs) > 1:
+        head = reduce(qt_multiply, [_chain(q, roots, bound, v_max) for roots in runs[:-1]])
+        return head, _chain(q, runs[-1], bound, v_max)
+    roots = runs[0] if runs else []
+    last = dilog(q, roots[-1], bound, v_max) if roots else identity(q, bound, v_max)
+    return _chain(q, roots[:-1], bound, v_max), last
 
 
 @dataclass(frozen=True)
@@ -377,7 +502,13 @@ def verify_factorization(
     """Compare the partition's dilogarithm product with the trivial one.
 
     reference lets callers reuse a precomputed trivial product when
-    sweeping many partitions of the same quiver.
+    sweeping many partitions of the same quiver.  The product is that of
+    factorization_product, but its last multiplication is never built: the
+    blocks before the last one are joined (for a one-block partition, its
+    dilogarithms before the last one are multiplied), and their product
+    times the last factor is compared with the reference target by target
+    on the packed series (see the module docstring).  Only a target that
+    differs is unpacked, to report its mismatch.
     """
     _check_keys(q, bound)
     order = admissible_total_order(q, p)
@@ -387,16 +518,7 @@ def verify_factorization(
         if reference.bound != bound or reference.v_max != v_max:
             raise TruncationMismatchError("reference computed with different truncation")
     lhs = reference if reference is not None else trivial_dt(q, bound, v_max)
-    rhs = factorization_product(q, order, bound, v_max)
-    # series equal at the working cutoff are equal at v_max; only the others are cut
-    left, right = lhs.terms, rhs.terms
-    differ = [g for g, s in left.items() if right.get(g) != s]
-    differ += [g for g in right if g not in left]
-    mismatches = []
-    for g in sorted(differ, key=lambda g: (g.height, g.values)):
-        a, b = _cut(left.get(g), v_max), _cut(right.get(g), v_max)
-        if a != b:
-            mismatches.append((g, VSeries(v_max, *a), VSeries(v_max, *b)))
+    mismatches = _mismatches(*_last_factors(q, order, bound, v_max), lhs, v_max)
     return VerificationReport(
         q, order.partition, order, bound, v_max, not mismatches, tuple(mismatches)
     )

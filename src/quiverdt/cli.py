@@ -19,9 +19,10 @@ from pathlib import Path
 
 from .algebra import trivial_dt, verify_factorization, working_v_max
 from .dynkin import DEFAULT_CAP, NotDynkin, classify_dynkin, positive_roots
-from .errors import (CyclicQuiverError, InconsistencyError, NotAdmissibleError, NotTypeAError,
-                     QuiverDtError, QuiverParseError)
-from .ordering import admissible_total_order, reineke_inner_order
+from .errors import (CyclicQuiverError, EnumerationCapError, InconsistencyError,
+                     NotAdmissibleError, NotDynkinError, NotTypeAError, QuiverDtError,
+                     QuiverParseError)
+from .ordering import _root_count, admissible_total_order, reineke_inner_order
 from .partitions import (
     SubquiverPartition,
     check_admissible,
@@ -246,7 +247,8 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_partitions(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
-    found = enumerate_partitions(q)
+    with _argument("--cap", EnumerationCapError):
+        found = enumerate_partitions(q, cap=args.cap)
     admissible = 0
     for i, p in enumerate(found, start=1):
         verdict = check_admissible(q, p)
@@ -272,11 +274,21 @@ def cmd_partitions(args: argparse.Namespace, rep: Reporter) -> int:
     return 0
 
 
+def _check_root_count(count: int, cap: int) -> None:
+    """Refuse, before any root is enumerated, to print more than cap roots."""
+    if count > cap:
+        raise QuiverDtError(f"argument --cap: {count} positive roots, more than --cap {cap}")
+
+
 def cmd_roots(args: argparse.Namespace, rep: Reporter) -> int:
     q = _load_quiver(args)
     if args.partition is None:
         with _argument("--quiver"):
-            rs = positive_roots(q)
+            t = classify_dynkin(q)
+            if isinstance(t, NotDynkin):
+                raise NotDynkinError(str(t), kind=t.kind)
+        _check_root_count(_root_count(t), args.cap)
+        rs = positive_roots(q)
         for r in rs.roots:
             rep.text(f"{r}")
             rep.row(type="root", root=r.as_dict())
@@ -284,6 +296,7 @@ def cmd_roots(args: argparse.Namespace, rep: Reporter) -> int:
                     count=len(rs.roots), dynkin=str(rs.dynkin_type))
         return 0
     p = _parse_partition(q, args.partition)
+    _check_root_count(sum(map(_root_count, p.types)), args.cap)
     with _argument("--partition", NotAdmissibleError):
         order = admissible_total_order(q, p)
     rep.text(f"blocks in contraction order: {order.partition}")
@@ -340,7 +353,8 @@ def cmd_factorize(args: argparse.Namespace, rep: Reporter) -> int:
     bound = _parse_bound(q, args.gamma_bound, args.cap)
     v_max = _v_max(args, working_v_max(q, bound, 0))
     if args.all_partitions:
-        ps = enumerate_partitions(q, admissible_only=True)
+        with _argument("--cap", EnumerationCapError):
+            ps = enumerate_partitions(q, admissible_only=True, cap=args.cap)
     elif args.partition is not None:
         ps = [_parse_partition(q, args.partition)]
     else:

@@ -188,14 +188,20 @@ def order_blocks(q: Quiver, p: SubquiverPartition) -> SubquiverPartition:
     )
 
 
-def enumerate_partitions(q: Quiver, admissible_only: bool = False) -> list[SubquiverPartition]:
+def enumerate_partitions(
+    q: Quiver, admissible_only: bool = False, cap: int = DEFAULT_CAP
+) -> list[SubquiverPartition]:
     """All partitions of the vertex set into connected Dynkin blocks.
 
     Deterministic: each partition lists its blocks by minimum vertex
     (input order), and partitions are generated by recursing on the first
     uncovered vertex with candidate blocks sorted by size then members.
+    Raises EnumerationCapError at the first partition past cap, admissible
+    or not, and InvalidInputError on a quiver with no vertices.
     """
     n = q.n
+    if not n:
+        raise InvalidInputError("cannot partition the empty quiver: it has no vertices")
     out: list[SubquiverPartition] = []
 
     def candidates(available: tuple[int, ...]) -> list[tuple]:
@@ -218,6 +224,8 @@ def enumerate_partitions(q: Quiver, admissible_only: bool = False) -> list[Subqu
 
     def rec(available: tuple[int, ...], chosen: list[tuple]) -> None:
         if not available:
+            if len(out) == cap:
+                raise EnumerationCapError(f"more than {cap} partitions of the vertex set")
             _, blocks, induced, types = zip(*chosen)
             out.append(SubquiverPartition(q, blocks, induced, types))
             return

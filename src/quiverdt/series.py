@@ -45,7 +45,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .errors import InconsistencyError, InvalidInputError, TruncationMismatchError
 
@@ -119,7 +119,7 @@ class VSeries:
     v_max: int
     min_exp: int = 0
     coeffs: tuple[int, ...] = ()
-    # [L1, Linf, width, halves at width] once measured (see _measure and PackedSum.pack)
+    # [L1, Linf, width, halves at width] once measured (see _measure and _packed)
     _memo: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -302,6 +302,15 @@ def _halves(coeffs, width: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
+def _packed(s: VSeries, width: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The parity halves of s packed at 2^width (see _halves), kept in s's
+    memo until s is packed at another width.  Every series is packed here."""
+    memo = s._memo or _measure(s)
+    if memo[2] != width:
+        memo[3], memo[2] = _halves(s.coeffs, width), width
+    return memo[3]
+
+
 class PackedSum:
     """A running sum of shifted series products, packed at 2^width per exponent parity.
 
@@ -319,16 +328,8 @@ class PackedSum:
         self.classes: list = [None, None]
 
     def pack(self, s: VSeries) -> tuple[tuple[int, int, int, int], ...]:
-        """The parity halves of s packed at 2^width (see _halves), kept in s's
-        memo until s is packed at another width.
-
-        Every series is packed here; product, which keeps no sum, passes a
-        _Width for self.
-        """
-        memo = s._memo or _measure(s)
-        if memo[2] != self.width:
-            memo[3], memo[2] = _halves(s.coeffs, self.width), self.width
-        return memo[3]
+        """The parity halves of s packed at this sum's width (see _packed)."""
+        return _packed(s, self.width)
 
     def add(self, low: int, n: int, value: int, check: int) -> None:
         """Add a packed run of n digits in q-steps, digit 0 at exponent low,
@@ -372,15 +373,6 @@ class PackedSum:
         return VSeries._canonical(v_max, *_trim(v_max, low, tuple(out)))
 
 
-class _Width(NamedTuple):
-    """A digit width with no sum kept at it (see PackedSum.pack)."""
-
-    width: int
-
-
-_WIDTHS = {w: _Width(w) for w in _WORD_CODES}
-
-
 def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: int) -> VSeries:
     """sign * v^shift * a * b cut at v_max, multiplied at 2^width per digit.
 
@@ -393,8 +385,7 @@ def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: in
     low = a.min_exp + b.min_exp + shift
     if low > v_max or not a.coeffs or not b.coeffs:
         return VSeries._canonical(v_max, 0, ())
-    at = _WIDTHS.get(width) or _Width(width)
-    xs, ys = PackedSum.pack(at, a), PackedSum.pack(at, b)
+    xs, ys = _packed(a, width), _packed(b, width)
     if len(xs) > 1 or len(ys) > 1:
         acc = PackedSum(width)
         acc.add_product(low, xs, ys, sign)

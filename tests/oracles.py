@@ -23,6 +23,7 @@ from quiverdt import (
     codim_of_stratum,
     dilog,
     expected_root_multiset,
+    factorization_product,
     identity,
     inner_lists,
     kostant_series,
@@ -534,6 +535,30 @@ def chain_factorization_product(q: Quiver, order, bound, v_max: int):
     for entry in order.entries:
         out = qt_multiply(out, dilog(q, entry.root, bound, v_max))
     return out
+
+
+def materialized_verdict(q: Quiver, p, bound, v_max: int, reference) -> tuple[bool, list]:
+    """(passed, mismatches) of comparing reference with the whole
+    factorization_product of p's admissible order.
+
+    Series that are equal at the working cutoff agree; every other gamma of
+    either side is cut to v_max on both sides and kept when the cuts differ.
+    Mismatches are (gamma, reference side, product side), by height then values.
+    """
+    rhs = factorization_product(q, admissible_total_order(q, p), bound, v_max)
+    left, right = reference.terms, rhs.terms
+
+    def cut(s):
+        return VSeries(v_max) if s is None else VSeries(v_max, s.min_exp, s.coeffs)
+
+    differ = [g for g, s in left.items() if right.get(g) != s]
+    differ += [g for g in right if g not in left]
+    mismatches = []
+    for g in sorted(differ, key=lambda g: (g.height, g.values)):
+        a, b = cut(left.get(g)), cut(right.get(g))
+        if a != b:
+            mismatches.append((g, a, b))
+    return not mismatches, mismatches
 
 
 def random_orientation(rng: random.Random, vertices, edges) -> Quiver:

@@ -443,26 +443,25 @@ def test_dilog_chain_measures_and_packs_each_series_once(quiver_dir, monkeypatch
     once per digit width."""
     q = parse_quiver((quiver_dir / "a3.json").read_text())
     bound = bound_of(q, 2)
-    measured, packed, packing = [], [], []
-    measure, pack, halves = series_mod._measure, series_mod.PackedSum.pack, series_mod._halves
+    measured, packed, halved = [], [], []
+    measure, pack, halves = series_mod._measure, series_mod._packed, series_mod._halves
 
     def counted_measure(s):
         measured.append(s)  # held, so no id is reused
         return measure(s)
 
-    def counted_pack(acc, s):
-        packing.append(s)
-        try:
-            return pack(acc, s)
-        finally:
-            packing.pop()
+    def counted_packed(s, width):
+        before = len(halved)
+        out = pack(s, width)
+        packed.extend([(s, width)] * (len(halved) - before))  # the halves this call built
+        return out
 
     def counted_halves(coeffs, width):
-        packed.append((packing[-1], width))
+        halved.append(width)
         return halves(coeffs, width)
 
     monkeypatch.setattr(series_mod, "_measure", counted_measure)
-    monkeypatch.setattr(series_mod.PackedSum, "pack", counted_pack)
+    monkeypatch.setattr(series_mod, "_packed", counted_packed)
     monkeypatch.setattr(series_mod, "_halves", counted_halves)
     trivial_dt(q, bound, V_MAX)
     for p in enumerate_partitions(q, admissible_only=True):
@@ -762,3 +761,194 @@ def test_join_of_disjoint_blocks_multiplies_once_per_target(a4, monkeypatch):
     assert not sums
     assert len(joined.terms) == len(x.terms) * len(y.terms)
     assert joined.terms == factorization_product(a4, order, bound, V_MAX).terms
+
+
+def doubled(q):
+    """q with a second copy of its first arrow: the same vertices, so the same
+    dimension vectors, and another trivial product."""
+    extra = q.arrows[0]
+    return oracles.build_quiver(q.vertices, [(a.name, a.tail, a.head) for a in q.arrows]
+                                + [(extra.name + "'", extra.tail, extra.head)])
+
+
+@pytest.mark.parametrize("entry", [2, 3])
+def test_verify_verdicts_match_the_materialized_compare(quiver_dir, entry):
+    """Every admissible partition of quivers/*.json and of seeded A4, D4 and
+    Atilde3 orientations, against its own trivial product and against the one
+    of q with an arrow doubled, which differs at many gammas: passed and the
+    mismatch list equal those of comparing with the whole factorization_product."""
+    checked = failed = 0
+    for q in file_and_seeded_quivers(quiver_dir):
+        bound = bound_of(q, entry)
+        own = trivial_dt(q, bound, V_MAX)
+        other = QuantumElement(q, bound, V_MAX, trivial_dt(doubled(q), bound, V_MAX).terms)
+        for p in enumerate_partitions(q, admissible_only=True):
+            for reference in (own, other):
+                report = verify_factorization(q, p, bound, V_MAX, reference=reference)
+                want = oracles.materialized_verdict(q, p, bound, V_MAX, reference)
+                assert (report.passed, list(report.mismatches)) == want, (q.arrows, p)
+                failed += not report.passed
+                checked += 1
+    assert checked > 80 and failed > 10
+
+
+def perturbation_cases(a3):
+    """(quiver, partition, bound, v_max): a3 split in one, two and three blocks,
+    and, at a v_max below k^2 for k >= 2, a one-vertex quiver and two unjoined
+    vertices, whose products lack the multiples of a simple root past 1."""
+    one = oracles.build_quiver(["1"], [])
+    two = oracles.build_quiver(["1", "2"], [])
+    cases = [(a3, make_partition(a3, blocks), bound_of(a3, 2), V_MAX)
+             for blocks in ([["1", "2", "3"]], [["1"], ["2", "3"]], [["1"], ["2"], ["3"]])]
+    cases += [(one, make_partition(one, [["1"]]), bound_of(one, 3), 2),
+              (two, make_partition(two, [["1"], ["2"]]), bound_of(two, 3), 2)]
+    return cases
+
+
+def bump(ref, gamma, exp, coeff):
+    """ref plus coeff * v^exp at gamma."""
+    work = working_v_max(ref.quiver, ref.bound, ref.v_max)
+    return ref + monomial(ref.quiver, gamma, VSeries.monomial(work, coeff, exp), ref.bound, ref.v_max)
+
+
+def test_verify_reports_perturbed_references_as_the_materialized_compare(a3):
+    """A change at v^v_max is reported and one at v^(v_max+1) or v^(v_max+2) is
+    not; a gamma the reference lacks or the product lacks, a coefficient of
+    mixed parity and a coefficient far past the product's digit width are
+    reported exactly when they fall within v_max."""
+    lacking = 0
+    for q, p, bound, v_max in perturbation_cases(a3):
+        ref = trivial_dt(q, bound, v_max)
+        product = factorization_product(q, admissible_total_order(q, p), bound, v_max)
+        width = series_mod.product_width(product.terms.values(), product.terms.values())
+        gammas = all_gammas(q, bound)
+        absent = [g for g in gammas if g not in product.terms]
+        lacking += bool(absent)
+        cases = []  # (reference, the gammas it must report)
+        for g in gammas:
+            parity = euler_form(q, g, g) % 2
+            for exp, seen in ((v_max, True), (v_max + 1, False), (v_max + 2, False)):
+                cases.append((bump(ref, g, exp, 3), [g] if seen else []))
+            cases.append((bump(ref, g, v_max - 1 + parity, 1), [g]))  # the other parity
+            cases.append((bump(ref, g, v_max, 2 ** (2 * width)), [g]))
+            cases.append((bump(ref, g, v_max + 1, 2 ** (2 * width)), []))
+            if g in ref.terms:
+                lacks = QuantumElement(q, bound, v_max, {h: s for h, s in ref.terms.items() if h != g})
+                cases.append((lacks, [g] if ref.coefficient(g) else []))
+        for g in absent:
+            cases.append((bump(ref, g, 0, -1), [g]))
+        for reference, want in cases:
+            report = verify_factorization(q, p, bound, v_max, reference=reference)
+            assert [g for g, _, _ in report.mismatches] == want, (p, want)
+            assert (report.passed, list(report.mismatches)) == oracles.materialized_verdict(
+                q, p, bound, v_max, reference)
+    assert lacking == 2
+
+
+def test_one_and_multi_block_partitions_end_in_the_packed_compare(a3, monkeypatch):
+    """verify_factorization makes one multiplication fewer than
+    factorization_product; its last one goes to the packed compare, which
+    sees lone products and packed sums."""
+    calls, seen = [], []
+    real_multiply, real_agree = algebra_mod.qt_multiply, algebra_mod._agree
+    monkeypatch.setattr(algebra_mod, "qt_multiply",
+                        lambda x, y: calls.append(1) or real_multiply(x, y))
+    monkeypatch.setattr(algebra_mod, "_agree",
+                        lambda held, *rest: seen.append(type(held)) or real_agree(held, *rest))
+    bound = bound_of(a3, 2)
+    ref = trivial_dt(a3, bound, V_MAX)
+    kinds = set()
+    for blocks in ([["1", "2", "3"]], [["1"], ["2", "3"]], [["1", "2"], ["3"]]):
+        p = make_partition(a3, blocks)
+        del calls[:], seen[:]
+        factorization_product(a3, admissible_total_order(a3, p), bound, V_MAX)
+        full = len(calls)
+        del calls[:]
+        assert verify_factorization(a3, p, bound, V_MAX, reference=ref).passed
+        assert len(calls) == full - 1 and seen
+        kinds |= set(seen)
+    assert kinds == {tuple, series_mod.PackedSum}
+
+
+def test_verify_factorization_forced_width_overflow_raises(kronecker, monkeypatch):
+    """With every digit width forced to 8 bits, the packed compare of the last
+    multiplication raises as qt_multiply does."""
+    p = make_partition(kronecker, [["1"], ["2"]])
+    bound = bound_of(kronecker, 3)
+    ref = trivial_dt(kronecker, bound, V_MAX)
+    assert verify_factorization(kronecker, p, bound, V_MAX, reference=ref).passed
+    entered = []
+    real = algebra_mod._mismatches
+    monkeypatch.setattr(algebra_mod, "_mismatches", lambda *a: entered.append(1) or real(*a))
+    monkeypatch.setattr(series_mod, "_digit_width", lambda bound: 8)
+    monkeypatch.setattr(algebra_mod, "_digit_width", lambda bound: 8)
+    with pytest.raises(InconsistencyError):
+        verify_factorization(kronecker, p, bound, V_MAX, reference=ref)
+    assert entered
+
+
+def test_matching_verdict_unpacks_nothing_in_its_last_multiplication(quiver_dir, monkeypatch):
+    """Inside the packed compare, a passing verdict calls series._unpack never;
+    a failing one unpacks only the targets it reports."""
+    unpacked, inside = [], []
+    real_unpack, real_mismatches = series_mod._unpack, algebra_mod._mismatches
+
+    def counted_unpack(*args):
+        if inside:
+            unpacked.append(args)
+        return real_unpack(*args)
+
+    def marked(*args):
+        inside.append(1)
+        try:
+            return real_mismatches(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(series_mod, "_unpack", counted_unpack)
+    monkeypatch.setattr(algebra_mod, "_mismatches", marked)
+    for q in file_and_seeded_quivers(quiver_dir)[:5]:
+        bound = bound_of(q, 2)
+        ref = trivial_dt(q, bound, V_MAX)
+        for p in enumerate_partitions(q, admissible_only=True):
+            assert verify_factorization(q, p, bound, V_MAX, reference=ref).passed
+            assert not unpacked
+            g = max(ref.terms, key=lambda g: g.height)
+            for exp in (V_MAX + 1, V_MAX + 2):  # past v_max: still a match
+                assert verify_factorization(q, p, bound, V_MAX, reference=bump(ref, g, exp, 1)).passed
+                assert not unpacked
+            report = verify_factorization(q, p, bound, V_MAX, reference=bump(ref, g, V_MAX, 1))
+            assert [h for h, _, _ in report.mismatches] == [g]
+            assert 0 < len(unpacked) <= 2
+            del unpacked[:]
+
+
+def test_packed_compare_matches_the_built_product(a3, rng, monkeypatch):
+    """On random elements with mixed parities and wide coefficients, the last
+    multiplication's compare reports what comparing with the built product
+    does, and unpacks nothing when the reference is that product.  One target
+    sums runs that cancel at their low end, so its runs and the reference's
+    start at different exponents."""
+    unpacked = []
+    real = series_mod._unpack
+    monkeypatch.setattr(series_mod, "_unpack", lambda *a: unpacked.append(a) or real(*a))
+    bound = bound_of(a3, 2)
+    work = working_v_max(a3, bound, V_MAX)
+    e1 = a3.unit("1")
+    q_step = VSeries.from_terms(work, {0: 1, 2: 1})
+    pairs = [(monomial(a3, a3.zero(), 2, bound, V_MAX) + monomial(a3, e1, -2, bound, V_MAX),
+              identity(a3, bound, V_MAX) + monomial(a3, e1, q_step, bound, V_MAX))]
+    pairs += [(random_element(rng, a3, bound, work), random_element(rng, a3, bound, work))
+              for _ in range(12)]
+    for x, y in pairs:
+        product = qt_multiply(x, y)
+        del unpacked[:]
+        assert algebra_mod._mismatches(x, y, product, V_MAX) == []
+        assert not unpacked
+        for _ in range(6):
+            g = rng.choice(all_gammas(a3, bound))
+            ref = bump(product, g, rng.randint(-4, work), rng.choice((1, -5, 2**90)))
+            assert algebra_mod._mismatches(x, y, ref, V_MAX) == oracles.coefficient_mismatches(
+                ref, product)
+    # 2 * (1 + q) - 2 at y_e1: the packed sum starts at v^0, the series at v^2
+    assert qt_multiply(*pairs[0]).terms[e1] == VSeries.monomial(work, 2, 2)

@@ -653,3 +653,42 @@ def test_empty_quiver_exits_2_naming_the_quiver_flag(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--quiver", str(path), *extra)
     assert code == 2 and not out
     assert err == "error: argument --quiver: empty quiver\n"
+
+
+def write_path(tmp_path, n):
+    """An equioriented n-vertex path written as a quiver file; its path."""
+    path = tmp_path / f"path{n}.json"
+    path.write_text(json.dumps({
+        "vertices": [str(i) for i in range(1, n + 1)],
+        "arrows": [{"id": f"a{i}", "tail": str(i + 1), "head": str(i)} for i in range(1, n)],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("partitions", 14), ("factorize", 14, "--all-partitions", "--gamma-bound", "0", "--q-order", "0"),
+    ("roots", 8), ("roots", 8, "--partition", '[["1","2","3","4"],["5","6","7","8"]]'),
+])
+def test_cap_stops_row_counts_before_the_work(capsys, tmp_path, argv):
+    """Partitions of a 14-vertex path (8,192) and roots of an 8-vertex path (36,
+    or 20 over two A4 blocks) past --cap 10 exit 2 naming --cap, print nothing
+    and take no time."""
+    command, n, *extra = argv
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--quiver", write_path(tmp_path, n), "--cap", "10", *extra)
+    assert code == 2 and not out
+    assert err.startswith("error: argument --cap: ") and "10" in err
+    assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize("extra, count", [([], 21), (["--partition", '[["1","2","3"],["4","5","6"]]'], 12)])
+def test_roots_at_a_cap_of_exactly_their_count(capsys, tmp_path, extra, count):
+    """A 6-vertex path has 21 roots, 12 over two A3 blocks: a cap of that many
+    prints them all, one less prints none."""
+    path = write_path(tmp_path, 6)
+    code, out, _ = run(capsys, "roots", "--quiver", path, "--cap", str(count), "--format", "jsonl", *extra)
+    assert code == 0
+    rows = jsonl_rows(out)
+    assert len(rows) == count + 1 and rows[-1]["count"] == count
+    code, _, err = run(capsys, "roots", "--quiver", path, "--cap", str(count - 1), *extra)
+    assert code == 2 and f"{count} positive roots, more than --cap {count - 1}" in err

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -349,3 +350,35 @@ def test_whole_partition_series_match_kostant_partitions(a2, a3, d4):
         assert [m.multiplicities() for m in series] == [
             list(kp.multiplicities) for kp in direct
         ]
+
+
+def test_enumerate_partitions_cap_counts_every_leaf(a3, atilde2):
+    """A cap equal to the number of partitions lets them all through; one less
+    stops at the next leaf, admissible or not, also with admissible_only."""
+    from quiverdt import EnumerationCapError
+
+    for q in (a3, atilde2):
+        found = enumerate_partitions(q)
+        assert enumerate_partitions(q, cap=len(found)) == found
+        for admissible_only in (False, True):
+            with pytest.raises(EnumerationCapError, match=f"more than {len(found) - 1} partitions"):
+                enumerate_partitions(q, admissible_only=admissible_only, cap=len(found) - 1)
+    assert len(enumerate_partitions(atilde2, admissible_only=True)) < len(enumerate_partitions(atilde2))
+
+
+def test_enumerate_partitions_stops_at_the_cap_on_a_long_path():
+    """A 14-vertex path has 8,192 partitions; a cap of 10 stops at the 11th."""
+    from quiverdt import EnumerationCapError
+
+    q = oracles.path_quiver(14)
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match="more than 10 partitions"):
+        enumerate_partitions(q, cap=10)
+    assert time.perf_counter() - started < 5
+
+
+def test_enumerate_partitions_rejects_the_empty_quiver():
+    from quiverdt import InvalidInputError
+
+    with pytest.raises(InvalidInputError, match="empty quiver"):
+        enumerate_partitions(oracles.build_quiver([], []))
