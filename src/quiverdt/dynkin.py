@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .errors import (
@@ -138,8 +139,13 @@ class RootSet:
         return self._ext
 
 
+@lru_cache(maxsize=256)
 def positive_roots(q: Quiver) -> RootSet:
-    """Enumerate positive roots by scanning the bounded coordinate box."""
+    """Enumerate positive roots by scanning the bounded coordinate box.
+
+    Memoized per equal quiver and shared, ext() table included, so callers
+    must not mutate the result; a non-Dynkin quiver raises on every call.
+    """
     ct = classify_dynkin(q)
     if isinstance(ct, NotDynkin):
         raise NotDynkinError(str(ct), kind=ct.kind)

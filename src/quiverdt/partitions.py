@@ -17,6 +17,7 @@ failure.  make_partition always rejects such blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -204,6 +205,7 @@ def enumerate_partitions(
         raise InvalidInputError("cannot partition the empty quiver: it has no vertices")
     out: list[SubquiverPartition] = []
 
+    @lru_cache(maxsize=None)  # one entry per remaining vertex set reached in this call
     def candidates(available: tuple[int, ...]) -> list[tuple]:
         """(indices, members, induced subquiver, type) of each Dynkin block on available[0]."""
         pivot = available[0]

@@ -176,10 +176,6 @@ class VSeries:
         i = v_exp - self.min_exp
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def q_coefficient(self, n: int) -> int:
-        """Coefficient of q^n, i.e. of v^(2n)."""
-        return self.coefficient(2 * n)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -237,10 +233,6 @@ class VSeries:
     def to_pairs(self) -> list[list[int]]:
         """Nonzero [v_exponent, coefficient] pairs; the JSON wire form."""
         return [[e, c] for e, c in self.items()]
-
-    @classmethod
-    def from_pairs(cls, v_max: int, pairs) -> VSeries:
-        return cls.from_terms(v_max, {int(e): int(c) for e, c in pairs})
 
     def __str__(self) -> str:
         """Render as a q-power sum, lowest exponent first."""

@@ -58,6 +58,16 @@ def brute_partition_count(n: int, k: int) -> int:
     return sum(1 for _ in partitions_with_parts_at_most(n, k))
 
 
+def q_coefficient(s: VSeries, n: int) -> int:
+    """Coefficient of q^n, i.e. of v^(2n)."""
+    return s.coefficient(2 * n)
+
+
+def series_from_pairs(v_max: int, pairs) -> VSeries:
+    """The series with these (v-exponent, coefficient) pairs, cut at v_max."""
+    return VSeries.from_terms(v_max, {int(e): int(c) for e, c in pairs})
+
+
 def naive_poly_mul(a_pairs, b_pairs):
     """Dict-based convolution of (exponent, coefficient) pair lists."""
     out: dict[int, int] = {}
@@ -396,9 +406,9 @@ def closed_form_dt_coefficient(q: Quiver, gamma, v_max: int) -> VSeries:
         while 2 * n <= work:
             pairs.append((2 * n, brute_partition_count(n, k)))
             n += 1
-        prod = prod * VSeries.from_pairs(work, pairs)
+        prod = prod * series_from_pairs(work, pairs)
     shifted = (-1) * prod.shift(base)
-    return VSeries.from_pairs(v_max, shifted.to_pairs())
+    return series_from_pairs(v_max, shifted.to_pairs())
 
 
 def dilog_coefficient_pairs(k: int, v_max: int):

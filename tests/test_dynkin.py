@@ -11,6 +11,7 @@ from quiverdt import (
     EnumerationCapError,
     NotConnectedError,
     NotDynkin,
+    NotDynkinError,
     classify_dynkin,
     euler_form,
     kostant_partitions,
@@ -126,6 +127,8 @@ def test_positive_roots_tits_form_is_one(d4):
 
 
 def test_roots_match_reflection_closure():
+    """Through E6 and E7 (36 and 63 roots); each quiver is scanned once."""
+    positive_roots.cache_clear()
     cases = [
         oracles.path_quiver(1),
         oracles.path_quiver(2),
@@ -135,10 +138,32 @@ def test_roots_match_reflection_closure():
         star((1, 1, 1)),
         star((1, 1, 2)),
         star((1, 2, 2)),
+        star((1, 2, 3)),
     ]
     for q in cases:
-        got = {r.values for r in positive_roots(q).roots}
-        assert got == oracles.reflection_closure_roots(q)
+        rs = positive_roots(q)
+        assert {r.values for r in rs.roots} == oracles.reflection_closure_roots(q)
+        assert positive_roots(q) is rs
+    assert [len(positive_roots(q).roots) for q in cases[-2:]] == [36, 63]
+    assert positive_roots.cache_info().misses == len(cases)
+
+
+def test_equal_quivers_share_one_root_set(d4):
+    """The memo is keyed by quiver equality, not identity."""
+    positive_roots.cache_clear()
+    twin = oracles.build_quiver(list(d4.vertices), [(a.name, a.tail, a.head) for a in d4.arrows])
+    assert twin == d4 and twin is not d4
+    rs = positive_roots(d4)
+    assert positive_roots(twin) is rs
+    assert positive_roots.cache_info().misses == 1
+
+
+def test_not_dynkin_is_raised_on_every_call_and_not_memoized(atilde2):
+    positive_roots.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotDynkinError):
+            positive_roots(atilde2)
+    assert positive_roots.cache_info().currsize == 0
 
 
 def test_root_count_type_a_formula():

@@ -91,11 +91,13 @@ def test_enumerate_d4_admissible_count(d4):
 
 
 def test_enumerate_classifies_each_candidate_block_once(d4, monkeypatch):
-    """Partitions are built from the candidates' shapes, not classified again.
+    """Partitions are built from the candidates' shapes, not classified again,
+    and each remaining vertex set's candidates are found once per call.
 
-    With center c first, the recursion tests 8 blocks on c, then 7 blocks
-    after [c], 3 after each of [c,1], [c,2], [c,3], and 1 after each of
-    the three 3-vertex blocks: 27 calls for 8 partitions of 20 blocks.
+    With center c first, the recursion reaches 8 remaining sets: it tests
+    8 blocks on {c,1,2,3}, 4 on {1,2,3}, 2 on each of {1,2}, {1,3} and
+    {2,3}, and 1 on each of {1}, {2} and {3}: 21 calls for 8 partitions of
+    20 blocks.
     """
     import quiverdt.partitions as partitions
 
@@ -104,7 +106,7 @@ def test_enumerate_classifies_each_candidate_block_once(d4, monkeypatch):
     monkeypatch.setattr(partitions, "classify_dynkin", lambda sub: calls.append(sub) or real(sub))
     ps = enumerate_partitions(d4)
     assert len(ps) == 8 and sum(p.size for p in ps) == 20
-    assert len(calls) == 27
+    assert len(calls) == 21
     monkeypatch.undo()
     assert ps == [make_partition(d4, p.blocks) for p in ps]
 

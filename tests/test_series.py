@@ -217,19 +217,19 @@ def test_poincare_p0_is_one():
 
 def test_poincare_p1_is_geometric():
     p1 = poincare_series(1, 20)
-    assert all(p1.q_coefficient(n) == 1 for n in range(11))
+    assert all(oracles.q_coefficient(p1, n) == 1 for n in range(11))
 
 
 def test_poincare_p2_floor_formula():
     p2 = poincare_series(2, 40)
-    assert all(p2.q_coefficient(n) == n // 2 + 1 for n in range(21))
+    assert all(oracles.q_coefficient(p2, n) == n // 2 + 1 for n in range(21))
 
 
 def test_poincare_coefficients_are_partition_counts():
     for k in range(0, 7):
         pk = poincare_series(k, 60)
         for n in range(31):
-            assert pk.q_coefficient(n) == oracles.brute_partition_count(n, k)
+            assert oracles.q_coefficient(pk, n) == oracles.brute_partition_count(n, k)
 
 
 def q_series(v_max, low, q_coeffs):
@@ -277,7 +277,7 @@ def test_coefficient_past_truncation_rejected():
     with pytest.raises(InvalidInputError):
         s.coefficient(7)
     with pytest.raises(InvalidInputError):
-        s.q_coefficient(4)
+        oracles.q_coefficient(s, 4)
 
 
 def test_mismatched_truncation_orders_rejected():
@@ -292,7 +292,7 @@ def test_str_rendering():
 
 def test_from_pairs_roundtrip():
     s = series({-2: 1, 0: -4, 5: 2})
-    assert VSeries.from_pairs(24, s.to_pairs()) == s
+    assert oracles.series_from_pairs(24, s.to_pairs()) == s
 
 
 # low < 0: s * P_k is exact only below v_max + min_exp, where s's terms past

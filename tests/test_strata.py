@@ -27,6 +27,7 @@ from quiverdt import (
     monomial_normal_form,
     parse_quiver,
     poincare_series,
+    positive_roots,
     series_from_inner_lists,
     stratum_orbit_decomposition,
 )
@@ -216,6 +217,23 @@ def _seeded_strata(rng, edges, whole, split, per_draw=3):
         series = kostant_series(q, p, g)
         cases += [(q, p, m, g) for m in rng.sample(series, min(per_draw, len(series)))]
     return cases
+
+
+def test_codim_sweep_scans_each_distinct_block_once(rng):
+    """Every series of every partition of a seeded E6 orientation: one scan
+    per distinct block, by quiver equality, however many partitions and
+    series share it."""
+    positive_roots.cache_clear()
+    q = oracles.random_orientation(rng, sorted({v for e in E6_EDGES for v in e}), E6_EDGES)
+    g = q.vector({v: 1 for v in q.vertices})
+    checks, blocks = 0, set()
+    for p in enumerate_partitions(q):
+        blocks.update(p.induced)
+        for m in kostant_series(q, p, g):
+            assert codim_additivity_check(q, p, m, g).equal
+            checks += 1
+    info = positive_roots.cache_info()
+    assert info.misses == len(blocks) and info.hits > checks
 
 
 def test_block_codims_match_the_normal_form_oracle(quiver_dir, rng):
