@@ -84,7 +84,6 @@ from .strata import (
     codim_additivity_check,
     codim_of_stratum,
     inner_lists,
-    inner_positions,
     monomial_normal_form,
     series_from_inner_lists,
     stratum_orbit_decomposition,

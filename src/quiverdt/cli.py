@@ -18,11 +18,11 @@ from math import prod
 from pathlib import Path
 
 from .algebra import trivial_dt, verify_factorization, working_v_max
-from .dynkin import DEFAULT_CAP, NotDynkin, classify_dynkin, positive_roots
+from .dynkin import DEFAULT_CAP, NotDynkin, _root_count, classify_dynkin, positive_roots
 from .errors import (CyclicQuiverError, EnumerationCapError, InconsistencyError,
                      NotAdmissibleError, NotDynkinError, NotTypeAError, QuiverDtError,
                      QuiverParseError)
-from .ordering import _root_count, admissible_total_order, reineke_inner_order
+from .ordering import admissible_total_order, reineke_inner_order
 from .partitions import (
     SubquiverPartition,
     check_admissible,
@@ -45,7 +45,6 @@ from .strata import (
     betti_identity_check,
     codim_of_stratum,
     inner_lists,
-    inner_positions,
     series_from_inner_lists,
     stratum_orbit_decomposition,
 )
@@ -398,14 +397,11 @@ def _strata_inputs(args: argparse.Namespace):
 def cmd_codim(args: argparse.Namespace, rep: Reporter) -> int:
     q, p, gamma, given = _strata_inputs(args)
     rows = kostant_series(q, p, gamma, cap=args.cap) if given is None else [given]
-    positions = []  # each block's inner order, printed once and read by every report
-    for j, (block, kp) in enumerate(zip(p.induced, rows[0].per_block)):
-        order = reineke_inner_order(block)
-        positions.append(tuple(map(kp.root_set.index, order)))
-        roots = ", ".join(str(r) for r in order)
+    for j, block in enumerate(p.induced):
+        roots = ", ".join(str(r) for r in reineke_inner_order(block))
         rep.text(f"block {j + 1} {{{','.join(p.blocks[j])}}} inner root order: {roots}")
     for m in rows:
-        report = codim_of_stratum(q, p, m, gamma, positions)
+        report = codim_of_stratum(q, p, m, gamma)
         lists = [list(b) for b in report.lists]
         rep.text(f"m={lists}  codim={report.codim}  sign_parity={report.sign_exponent_parity}")
         rep.row(
@@ -449,13 +445,12 @@ def cmd_betti(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_orbits(args: argparse.Namespace, rep: Reporter) -> int:
     q, p, gamma, given = _strata_inputs(args)
     rows = kostant_series(q, p, gamma, cap=args.cap) if given is None else [given]
-    positions = inner_positions(rows[0])
     total = 0
     for m in rows:
         with _argument("--quiver", NotTypeAError):
             orbits = stratum_orbit_decomposition(q, p, m, gamma, cap=args.cap)
         total += len(orbits)
-        lists = inner_lists(m, positions)
+        lists = inner_lists(m)
         rep.text(f"m={lists}: {len(orbits)} orbits")
         for full in orbits:
             rep.text("   " + str(full))

@@ -3,9 +3,10 @@
 Positive roots of a Dynkin quiver are the non-negative nonzero dimension
 vectors of Tits form one; they are enumerated by a bounded box scan
 (entries up to 6, enough for every simply laced type through E8) and kept
-in a fixed library order, by height and then lexicographically.  Ordering
-relevant to factorizations is a permutation of this list computed in the
-ordering module.
+in a fixed library order, by height and then lexicographically.  A root
+set is memoized per equal quiver and builds its Reineke inner order, the
+permutation of this list that factorizations and strata read, at most once
+(RootSet.inner).
 
 Kostant partitions are walked over the non-simple roots only: the simple
 multiplicities are forced by the remainder, so every leaf is a partition,
@@ -22,12 +23,13 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import (
+    ConstraintCycleError,
     EnumerationCapError,
     InvalidInputError,
     NotConnectedError,
     NotDynkinError,
 )
-from .quiver import DimVector, Quiver, underlying_connected, _check_keys
+from .quiver import DimVector, Quiver, underlying_connected, _check_keys, _kahn_order, _shortest_cycle
 
 ROOT_ENTRY_BOUND = 6
 DEFAULT_CAP = 10**6
@@ -119,6 +121,7 @@ class RootSet:
     roots: tuple[DimVector, ...]
     _pos: dict = field(init=False, repr=False, compare=False)
     _ext: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _inner: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_pos", {r: i for i, r in enumerate(self.roots)})
@@ -137,6 +140,24 @@ class RootSet:
             ext = tuple(tuple(max(0, -self.quiver.euler_values(a, b)) for b in vs) for a in vs)
             object.__setattr__(self, "_ext", ext)
         return self._ext
+
+    def inner(self) -> tuple[int, ...]:
+        """Library positions of the roots in the inner order; built once.
+
+        Kahn's sort of the constraints "b precedes a whenever skew(a, b) < 0",
+        ties broken by library order.  A constraint cycle would mean the block
+        admits no valid order and raises ConstraintCycleError, with a shortest
+        cycle among the roots the sort left over as the witness.
+        """
+        if self._inner is None:
+            vs = [r.values for r in self.roots]
+            succ = [[i for i, a in enumerate(vs) if self.quiver.skew_values(a, b) < 0] for b in vs]
+            out = _kahn_order(succ)
+            if len(out) != len(vs):
+                witness = _shortest_cycle(succ, set(range(len(vs))) - set(out))
+                raise ConstraintCycleError(tuple(str(self.roots[i]) for i in witness))
+            object.__setattr__(self, "_inner", tuple(out))
+        return self._inner
 
 
 @lru_cache(maxsize=256)
@@ -160,6 +181,16 @@ def positive_roots(q: Quiver) -> RootSet:
     found.sort(key=lambda vs: (sum(vs), vs))
     roots = tuple(DimVector(q.vertices, vs) for vs in found)
     return RootSet(q, ct, roots)
+
+
+def _root_count(t: DynkinType) -> int:
+    """Number of positive roots of a simply laced Dynkin type."""
+    n = t.rank
+    if t.family == "A":
+        return n * (n + 1) // 2
+    if t.family == "D":
+        return n * (n - 1)
+    return {6: 36, 7: 63, 8: 120}[n]
 
 
 @dataclass(frozen=True)

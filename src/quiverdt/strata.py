@@ -14,8 +14,9 @@ monomial of gamma is exact integer bookkeeping, and
 
 with the sign (-1) to the power sum(m_u * (height_u - 1)); any failure is
 raised as an internal inconsistency.  codim_additivity_check compares the
-two engines.  Each block's inner order becomes library root positions
-once per call, and every reported list is read at them.
+two engines.  Every reported list is read at each block's library root
+positions in inner order, RootSet.inner, which the memoized root set
+builds once per distinct block quiver.
 
 The Betti identity multiplies series only by P_k = 1/(q;q)_k, which is
 exact division by (1 - q)...(1 - q^k): series.times_poincare does it as one
@@ -41,7 +42,6 @@ from typing import Sequence
 from .dynkin import (
     DynkinType,
     KostantPartition,
-    RootSet,
     classify_dynkin,
     kostant_partitions,
     positive_roots,
@@ -55,7 +55,7 @@ from .errors import (
     NotConnectedError,
     NotTypeAError,
 )
-from .ordering import RootOrder, reineke_inner_order
+from .ordering import RootOrder
 from .partitions import (
     DEFAULT_CAP,
     KostantSeries,
@@ -146,19 +146,9 @@ def _simple_monomial_form(q: Quiver, values: tuple[int, ...]) -> tuple[int, int]
     return sign, power
 
 
-def _inner_positions(rs: RootSet) -> tuple[int, ...]:
-    """Library positions of rs's roots, listed in its quiver's inner order."""
-    return tuple(map(rs.index, reineke_inner_order(rs.quiver)))
-
-
-def inner_positions(m: KostantSeries) -> list[tuple[int, ...]]:
-    """Each block's library root positions in the block's inner order, the
-    same for every Kostant series on m's partition."""
-    return [_inner_positions(kp.root_set) for kp in m.per_block]
-
-
-def _lists(m: KostantSeries, positions: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(kp.multiplicities[i] for i in pos) for kp, pos in zip(m.per_block, positions))
+def _lists(m: KostantSeries) -> tuple[tuple[int, ...], ...]:
+    """Per-block multiplicities of m, each read in its block's inner order."""
+    return tuple(tuple(kp.multiplicities[i] for i in kp.root_set.inner()) for kp in m.per_block)
 
 
 def _stratum_form(
@@ -218,31 +208,26 @@ def _solve_codim(nf: MonomialNormalForm, m: KostantSeries, parity: int) -> int:
 
 
 def codim_of_stratum(
-    q: Quiver,
-    p: SubquiverPartition,
-    m: KostantSeries,
-    gamma: DimVector,
-    positions: Sequence[Sequence[int]] | None = None,
+    q: Quiver, p: SubquiverPartition, m: KostantSeries, gamma: DimVector
 ) -> CodimReport:
     """Complex codimension of the stratum named by m inside gamma's space.
 
     Block codimensions are dim Ext^1 from the Euler form.  An admissible
-    partition's codimension solves the full ordered-monomial normal form;
-    any other's is the sum over blocks, the same number where both exist.
-    positions from inner_positions of a series on m's partition save the
-    inner orders.
+    partition's codimension solves the full ordered-monomial normal form,
+    each block read in its inner order; any other's is the sum over
+    blocks, the same number where both exist.
     """
     _check_keys(q, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
-    positions = positions or inner_positions(m)
     blocks = tuple(kp.orbit_codim() for kp in m.per_block)
     parity = sum(k * (r.height - 1) for kp in m.per_block for r, k in kp.nonzero()) % 2
+    positions = [kp.root_set.inner() for kp in m.per_block]
     try:
         codim = _solve_codim(_stratum_form(q, p, m, positions), m, parity)
     except NotAdmissibleError:
         codim = sum(blocks)
-    return CodimReport(m, gamma, codim, parity, blocks, _lists(m, positions))
+    return CodimReport(m, gamma, codim, parity, blocks, _lists(m))
 
 
 def codim_additivity_check(
@@ -272,13 +257,10 @@ def betti_identity_check(
     built once per call, the left side's included.
     """
     _check_keys(q, gamma)
-    series = kostant_series(q, p, gamma, cap=cap)
-    # every gamma has at least one series, and all share their root sets
-    positions = inner_positions(series[0])
     terms = [
         BettiTerm(m, sum(kp.orbit_codim() for kp in m.per_block),
-                  tuple(sorted(filter(None, m.multiplicities()))), _lists(m, positions))
-        for m in series
+                  tuple(sorted(filter(None, m.multiplicities()))), _lists(m))
+        for m in kostant_series(q, p, gamma, cap=cap)
     ]
     key = tuple(sorted(filter(None, gamma.values)))
     products = {(): VSeries.one(v_max)}
@@ -317,7 +299,7 @@ def series_from_inner_lists(
     per = []
     for j, lst in enumerate(lists):
         rs = positive_roots(p.induced[j])
-        positions = _inner_positions(rs)
+        positions = rs.inner()
         if len(lst) != len(positions):
             raise InvalidInputError(
                 f"block {j} has {len(positions)} roots, got {len(lst)} multiplicities"
@@ -331,10 +313,9 @@ def series_from_inner_lists(
     return KostantSeries(p, tuple(per))
 
 
-def inner_lists(m: KostantSeries, positions: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
-    """Per-block multiplicities of m, indexed by each block's inner root order;
-    positions from inner_positions of a series on m's partition save the orders."""
-    return [list(lst) for lst in _lists(m, positions or inner_positions(m))]
+def inner_lists(m: KostantSeries) -> list[list[int]]:
+    """Per-block multiplicities of m, indexed by each block's inner root order."""
+    return [list(lst) for lst in _lists(m)]
 
 
 def stratum_orbit_decomposition(

@@ -85,3 +85,16 @@ def d4():
 @pytest.fixture
 def quiver_dir() -> Path:
     return QUIVER_DIR
+
+
+@pytest.fixture
+def inner_sorts(monkeypatch) -> list[int]:
+    """Clear the root-set memo, then record the size of every inner-order
+    sort, through dynkin's binding of the one Kahn sort."""
+    from quiverdt import dynkin
+
+    dynkin.positive_roots.cache_clear()
+    sorts: list[int] = []
+    real = dynkin._kahn_order
+    monkeypatch.setattr(dynkin, "_kahn_order", lambda succ: sorts.append(len(succ)) or real(succ))
+    return sorts

@@ -514,46 +514,33 @@ def test_strata_commands_require_partition_and_gamma(capsys, a3_path, command, g
     assert err.rstrip().endswith(f"the following arguments are required: {missing}")
 
 
-def test_betti_example_shares_inner_lists_between_outputs(capsys, a3_path, monkeypatch):
-    """README example: 2 inner orders for the check, then 2 per term for 3 terms."""
-    from quiverdt import ordering, strata
-
-    calls = []
-    real = ordering.reineke_inner_order
-    for module in (cli, ordering, strata):
-        monkeypatch.setattr(module, "reineke_inner_order",
-                            lambda block: calls.append(block) or real(block))
+def test_betti_example_shares_inner_lists_between_outputs(capsys, a3_path, inner_sorts):
+    """README example: the check's 2 block sorts also format the 3 terms."""
     code, out, _ = run(capsys, "betti", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
                        "--gamma", '{"1":2,"2":3,"3":2}')
     assert code == 0 and out.count("  + q^") == 3
-    assert len(calls) <= 8
+    assert inner_sorts == [1, 3]
 
 
-def test_betti_example_orders_each_block_once(capsys, a3_path, monkeypatch):
-    """README example: the check's one inner order per block also formats every term."""
-    from quiverdt import ordering, strata
-
-    calls = []
-    real = ordering.reineke_inner_order
-    for module in (cli, ordering, strata):
-        monkeypatch.setattr(module, "reineke_inner_order",
-                            lambda block: calls.append(block) or real(block))
+def test_betti_example_orders_each_block_once(capsys, a3_path, inner_sorts):
+    """README example: one sort per block per process formats every term of
+    both runs, each of which loads the quiver afresh."""
     for fmt in ("text", "jsonl"):
-        calls.clear()
         code, out, _ = run(capsys, "betti", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
                            "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
         assert code == 0 and "[[2], [1, 1, 2]]" in out
-        assert len(calls) == 2
+        assert inner_sorts == [1, 3]
 
 
-def test_codim_example_orders_each_block_once_per_series(capsys, a3_path, monkeypatch):
-    """README example: the header's 2 inner orders give the positions every
-    series' codim_of_stratum reads, whose report lists also format the output."""
-    from quiverdt import ordering, strata
+def test_codim_example_orders_each_block_once_per_series(capsys, a3_path, monkeypatch, inner_sorts):
+    """README example: the header reads 2 inner orders per run, and every
+    series' codim_of_stratum reads the same memoized ones: one sort per block
+    for both runs."""
+    from quiverdt import ordering
 
     calls = []
     real = ordering.reineke_inner_order
-    for module in (cli, ordering, strata):
+    for module in (cli, ordering):
         monkeypatch.setattr(module, "reineke_inner_order",
                             lambda block: calls.append(block) or real(block))
     for fmt in ("text", "jsonl"):
@@ -561,24 +548,17 @@ def test_codim_example_orders_each_block_once_per_series(capsys, a3_path, monkey
         code, out, _ = run(capsys, "codim", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
                            "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
         assert code == 0 and "[[2], [1, 1, 2]]" in out
-        assert len(calls) == 2
+        assert len(calls) == 2 and inner_sorts == [1, 3]
 
 
-def test_orbits_example_orders_each_block_once(capsys, a3_path, monkeypatch):
-    """README example: one inner order per block formats every row's lists."""
-    from quiverdt import ordering, strata
-
-    calls = []
-    real = ordering.reineke_inner_order
-    for module in (cli, ordering, strata):
-        monkeypatch.setattr(module, "reineke_inner_order",
-                            lambda block: calls.append(block) or real(block))
+def test_orbits_example_orders_each_block_once(capsys, a3_path, inner_sorts):
+    """README example: one sort per block per process formats every row's
+    lists in both runs."""
     for fmt in ("text", "jsonl"):
-        calls.clear()
         code, out, _ = run(capsys, "orbits", "--quiver", a3_path, "--partition", '[["1"],["2","3"]]',
                            "--gamma", '{"1":2,"2":3,"3":2}', "--format", fmt)
         assert code == 0 and "[[2], [1, 1, 2]]" in out
-        assert len(calls) == 2
+        assert inner_sorts == [1, 3]
 
 
 def test_codim_of_two_huge_entries_in_one_block_stops_at_the_cap(capsys, quiver_dir):

@@ -15,6 +15,7 @@ from quiverdt import (
     classify_dynkin,
     euler_form,
     kostant_partitions,
+    make_partition,
     positive_roots,
 )
 
@@ -156,6 +157,18 @@ def test_equal_quivers_share_one_root_set(d4):
     rs = positive_roots(d4)
     assert positive_roots(twin) is rs
     assert positive_roots.cache_info().misses == 1
+
+
+def test_equal_block_quivers_share_one_inner_order(a4):
+    """Two partitions' equal but distinct induced blocks read the identical
+    inner-order tuple, sorted once."""
+    positive_roots.cache_clear()
+    first = make_partition(a4, [["1"], ["2", "3", "4"]]).induced[1]
+    second = make_partition(a4, [["1"], ["2", "3", "4"]]).induced[1]
+    assert first == second and first is not second
+    inner = positive_roots(first).inner()
+    assert positive_roots(second).inner() is inner
+    assert sorted(inner) == list(range(6))
 
 
 def test_not_dynkin_is_raised_on_every_call_and_not_memoized(atilde2):

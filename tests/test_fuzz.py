@@ -11,7 +11,7 @@ import io
 import json
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from quiverdt import Quiver, QuiverParseError, cli, parse_quiver
 
@@ -112,3 +112,55 @@ def test_cli_exits_0_1_or_2_without_traceback(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+def _record(n: int, pairs) -> dict:
+    return {
+        "vertices": [f"v{i}" for i in range(n)],
+        "arrows": [{"id": f"a{k}", "tail": f"v{t}", "head": f"v{h}"}
+                   for k, (t, h) in enumerate(pairs)],
+    }
+
+
+@st.composite
+def quiver_records(draw):
+    """Quiver files on 1-7 vertices: paths or trees (D7 and E7 among them)
+    with each edge either way, or any arrows at all (loops, directed cycles,
+    disconnected graphs), and each kind with some edges doubled."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["path", "tree", "any"]))
+    if shape == "any":
+        ends = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=9))
+    else:
+        edges = [(i - 1 if shape == "path" else draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        pairs = [e if draw(st.booleans()) else e[::-1] for e in edges]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    return _record(n, pairs)
+
+
+GENERATED_CAP = 50
+
+
+@settings(max_examples=60, deadline=10000,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(quiver_records())
+# E7, legs (1, 2, 3) off v0: 63 roots, more than the cap
+@example(_record(7, [(1, 0), (2, 0), (3, 2), (4, 0), (5, 4), (6, 5)]))
+def test_cli_on_generated_quivers_exits_0_1_or_2_within_the_cap(tmp_path, record):
+    """analyze, partitions, roots and one-block codim at gamma = all-1 end in
+    exit 0, 1 or 2 without a traceback, and print at most --cap result rows."""
+    path = tmp_path / "generated.json"
+    path.write_text(json.dumps(record))
+    vertices = record["vertices"]
+    strata = ["--partition", json.dumps([vertices]), "--gamma", json.dumps({v: 1 for v in vertices})]
+    for command, extra in (("analyze", []), ("partitions", []), ("roots", []), ("codim", strata)):
+        argv = [command, "--quiver", str(path), "--cap", str(GENERATED_CAP), "--format", "jsonl", *extra]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (record, argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue(), (record, argv)
+        rows = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert sum(row["type"] != "summary" for row in rows) <= GENERATED_CAP, (record, argv)

@@ -25,6 +25,7 @@ from quiverdt import (
     validate_order,
 )
 from quiverdt import ordering as ordering_mod
+from quiverdt.dynkin import _root_count
 from oracles import brute_force_valid_orders
 
 
@@ -224,20 +225,19 @@ def permutation_message(expected, entries):
 
 
 def test_root_count_check_accepts_what_the_enumeration_accepts(quiver_dir, monkeypatch):
-    """The Tits-form and root-count check says yes exactly where the enumerated
-    multiset agrees, on every partition; each corrupted candidate raises with
-    the enumeration's message."""
+    """On every partition the enumerated multiset, in either direction, passes
+    the permutation check and gets the oracle's verdict, and each corrupted
+    candidate raises with the enumeration's message."""
     # each corrupted candidate enumerates its partition's roots again; once is enough here
     monkeypatch.setattr(ordering_mod, "positive_roots", lru_cache(ordering_mod.positive_roots))
     checked = 0
     for q, p in file_and_seeded_partitions(quiver_dir):
         expected = expected_root_multiset(q, p)
         entries = tuple(expected)
-        assert ordering_mod._is_root_permutation(q, p, entries)
-        assert ordering_mod._is_root_permutation(q, p, entries[::-1])
+        for candidate in (entries, entries[::-1]):
+            assert validate_order(q, p, candidate) == oracles.validate_order_technical(q, p, candidate)
         for name, bad in corruptions(q, p, entries):
             assert Counter(bad) != expected, name
-            assert not ordering_mod._is_root_permutation(q, p, bad), name
             with pytest.raises(InvalidOrderError) as err:
                 validate_order(q, p, bad)
             assert str(err.value) == permutation_message(expected, bad), name
@@ -259,20 +259,29 @@ def test_root_count_check_follows_the_type_table():
                               [(f"a{i}", str(i + 1), str(i)) for i in range(4)] + [("b", "5", "2")])
     for q in [*paths.values(), *d.values(), e6]:
         t = classify_dynkin(q)
-        assert ordering_mod._root_count(t) == len(positive_roots(q).roots), t
-    assert [ordering_mod._root_count(DynkinType("E", n)) for n in (6, 7, 8)] == [36, 63, 120]
+        assert _root_count(t) == len(positive_roots(q).roots), t
+    assert [_root_count(DynkinType("E", n)) for n in (6, 7, 8)] == [36, 63, 120]
 
 
-def test_valid_candidate_enumerates_no_roots(a4, d4, atilde2, monkeypatch):
-    """A right candidate is accepted without a positive_roots call."""
-    orders = [(q, p, admissible_total_order(q, p)) for q in (a4, d4, atilde2)
-              for p in enumerate_partitions(q, admissible_only=True)]
+def _star_edges(legs):
+    """Edges of a tree with legs of the given lengths hanging off a center c."""
+    edges = []
+    for i, length in enumerate(legs):
+        prev = "c"
+        for j in range(length):
+            edges.append((prev, f"v{i}_{j}"))
+            prev = f"v{i}_{j}"
+    return edges
 
-    def refuse(_):
-        raise AssertionError("positive_roots called")
 
-    monkeypatch.setattr(ordering_mod, "positive_roots", refuse)
-    for q, p, order in orders:
-        assert validate_order(q, p, order).valid
-        backwards = order.entries[::-1]
-        assert validate_order(q, p, backwards) == oracles.validate_order_technical(q, p, backwards)
+@pytest.mark.parametrize("legs, rank", [((1, 1, 2), 5), ((1, 2, 2), 6), ((1, 2, 3), 7)],
+                         ids=["D5", "E6", "E7"])
+def test_one_block_order_of_d5_e6_e7_stars_validates(legs, rank, rng):
+    """The memoized inner order of a seeded D5, E6 or E7 orientation, as the
+    one-block total order, passes validate_order."""
+    edges = _star_edges(legs)
+    q = oracles.random_orientation(rng, sorted({v for e in edges for v in e}), edges)
+    p = make_partition(q, [list(q.vertices)])
+    order = admissible_total_order(q, p)
+    assert len(order.entries) == _root_count(classify_dynkin(q)) and q.n == rank
+    assert validate_order(q, p, order).valid

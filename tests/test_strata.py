@@ -20,7 +20,6 @@ from quiverdt import (
     codim_of_stratum,
     enumerate_partitions,
     inner_lists,
-    inner_positions,
     kostant_partitions,
     kostant_series,
     make_partition,
@@ -233,7 +232,7 @@ def test_codim_sweep_scans_each_distinct_block_once(rng):
             assert codim_additivity_check(q, p, m, g).equal
             checks += 1
     info = positive_roots.cache_info()
-    assert info.misses == len(blocks) and info.hits > checks
+    assert info.misses == len(blocks) and checks
 
 
 def test_block_codims_match_the_normal_form_oracle(quiver_dir, rng):
@@ -312,19 +311,14 @@ def test_betti_a2_whole_frozen(a2):
     assert got == {(0, (2,)), (1, (1, 1, 1)), (4, (2, 2))}
 
 
-def test_betti_computes_inner_orders_once_per_block(a3, monkeypatch):
-    import quiverdt.strata as strata
-
-    calls = []
-    real = strata.reineke_inner_order
-    monkeypatch.setattr(strata, "reineke_inner_order",
-                        lambda block: calls.append(block) or real(block))
+def test_betti_computes_inner_orders_once_per_block(a3, inner_sorts):
+    """One sort per distinct block quiver per process: the blocks A1 and A2,
+    however many gammas and series read them."""
     p = make_partition(a3, [["1"], ["2", "3"]])
     for g in ([2, 3, 2], [3, 4, 3]):
-        calls.clear()
         v = betti_identity_check(a3, p, a3.vector(g), 30)
         assert v.equal and len(v.terms) >= 3
-        assert calls == list(p.induced)
+        assert inner_sorts == [1, 3]
 
 
 def _count_calls(monkeypatch, name):
@@ -345,19 +339,40 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_codim_contracts_once_and_orders_each_block_once(a3, d4, monkeypatch):
+def test_codim_contracts_once_and_orders_each_block_once(a3, d4, monkeypatch, inner_sorts):
+    """One contraction per check, and one sort per distinct block quiver per
+    process, however many series and checks read it."""
     contractions = _count_calls(monkeypatch, "order_blocks")
-    inner_orders = _count_calls(monkeypatch, "reineke_inner_order")
+    blocks_seen = set()
     for q, blocks in ((a3, [["1"], ["2", "3"]]), (d4, [["3"], ["c", "1", "2"]])):
         p = make_partition(q, blocks)
+        blocks_seen.update(p.induced)
         g = q.vector({v: 2 for v in q.vertices})
         for m in kostant_series(q, p, g):
             contractions.clear()
             codim_of_stratum(q, p, m, g)
             assert len(contractions) == 1
-            inner_orders.clear()
             assert codim_additivity_check(q, p, m, g).equal
-            assert [args[0] for args in inner_orders] == list(p.induced)
+            assert len(inner_sorts) == len(blocks_seen)
+
+
+@pytest.mark.parametrize("check", ["codim", "betti"])
+def test_second_check_on_a_partition_makes_no_sort(a3, d4, check, inner_sorts):
+    """A first codim or Betti check sorts each block once; a second check on
+    the same partition sorts nothing."""
+    for q, blocks in ((a3, [["1"], ["2", "3"]]), (d4, [["3"], ["c", "1", "2"]])):
+        p = make_partition(q, blocks)
+        g = q.vector({v: 2 for v in q.vertices})
+
+        def run():
+            if check == "codim":
+                return codim_additivity_check(q, p, kostant_series(q, p, g)[-1], g).equal
+            return betti_identity_check(q, p, g, 20).equal
+
+        inner_sorts.clear()
+        assert run() and len(inner_sorts) == p.size
+        inner_sorts.clear()
+        assert run() and inner_sorts == []
 
 
 def test_codims_ignore_how_the_blocks_are_listed(a3, a4, d4):
@@ -553,20 +568,3 @@ def test_orbit_decomposition_rejects_every_non_path(request, name, blocks, shape
     m = kostant_series(q, p, g)[0]
     with pytest.raises(NotTypeAError, match=rf"needs type A; the quiver is {re.escape(shape)}"):
         stratum_orbit_decomposition(q, p, m, g)
-
-
-def test_codim_with_shared_positions_is_codim_without(quiver_dir, monkeypatch):
-    """Positions passed in give the same report on every partition of
-    quivers/*.json at gamma = all-2, and spare every inner order."""
-    from quiverdt import strata
-
-    for f in sorted(quiver_dir.glob("*.json")):
-        q = parse_quiver(f.read_text())
-        gamma = q.vector({v: 2 for v in q.vertices})
-        for p in enumerate_partitions(q):
-            series = kostant_series(q, p, gamma)
-            positions = inner_positions(series[0])
-            want = [codim_of_stratum(q, p, m, gamma) for m in series]
-            with monkeypatch.context() as patched:
-                patched.setattr(strata, "reineke_inner_order", None)
-                assert [codim_of_stratum(q, p, m, gamma, positions) for m in series] == want
