@@ -114,23 +114,14 @@ def classify_dynkin(q: Quiver) -> DynkinType | NotDynkin:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Positive roots of a Dynkin quiver in library order (height, then lex)."""
+    """Positive roots of a Dynkin quiver in library order (height, then lex),
+    named by library position, as in the tables ext() and inner() build once."""
 
     quiver: Quiver
     dynkin_type: DynkinType
     roots: tuple[DimVector, ...]
-    _pos: dict = field(init=False, repr=False, compare=False)
     _ext: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _inner: tuple | None = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_pos", {r: i for i, r in enumerate(self.roots)})
-
-    def index(self, root: DimVector) -> int:
-        try:
-            return self._pos[root]
-        except KeyError:
-            raise InvalidInputError(f"{root} is not a positive root") from None
 
     def ext(self) -> tuple[tuple[int, ...], ...]:
         """ext[i][j] = dim Ext^1(U_i, U_j) = max(0, -euler(roots[i], roots[j])) for the

@@ -4,9 +4,9 @@ A subquiver partition splits the vertex set into blocks whose induced
 subquivers are connected and simply laced Dynkin.  Blocks carry all
 induced arrows.  A partition is admissible when its contraction (one
 node per block, cross-block arrows kept) has no directed cycle.  The
-contraction is block-index successor lists, not a Quiver; check_admissible
-and order_blocks share its one Kahn sort, which gives the block order, and
-a failed sort takes its witness from quiver's one cycle search.
+contraction is block-index successor lists, not a Quiver; check_admissible,
+order_blocks and strata share its one Kahn sort, which gives the block
+order, and a failed sort takes its witness from quiver's one cycle search.
 
 check_admissible also accepts raw blocks whose induced subquiver fails
 to be Dynkin because of parallel arrows or an undirected cycle: those
@@ -60,14 +60,6 @@ class SubquiverPartition:
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-    def block_index(self, members: Iterable[str]) -> int:
-        """Index of the block with exactly these members."""
-        want = frozenset(members)
-        for j, b in enumerate(self.blocks):
-            if frozenset(b) == want:
-                return j
-        raise InvalidInputError(f"no block with members {sorted(want)}")
 
     def __str__(self) -> str:
         return "".join("[" + ",".join(b) + "]" for b in self.blocks)

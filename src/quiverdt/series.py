@@ -319,10 +319,6 @@ class PackedSum:
         self.width = width
         self.classes: list = [None, None]
 
-    def pack(self, s: VSeries) -> tuple[tuple[int, int, int, int], ...]:
-        """The parity halves of s packed at this sum's width (see _packed)."""
-        return _packed(s, self.width)
-
     def add(self, low: int, n: int, value: int, check: int) -> None:
         """Add a packed run of n digits in q-steps, digit 0 at exponent low,
         whose value at v = 1 is check."""
@@ -338,15 +334,9 @@ class PackedSum:
         total += value << (self.width * ((low - lo) >> 1))
         self.classes[k] = [lo, max(high, low + 2 * n - 2), total, sum1 + check]
 
-    def add_product(self, low: int, xs, ys, sign: int) -> None:
-        """Add sign * v^low * a * b, for a and b given as their packed halves."""
-        for ka, pa, na, ca in xs:
-            for kb, pb, nb, cb in ys:
-                self.add(low + ka + kb, na + nb - 1, sign * pa * pb, sign * ca * cb)
-
     def put(self, s: VSeries) -> None:
         """Add s itself, the product 1 * s, without a multiply."""
-        for k, value, n, check in self.pack(s):
+        for k, value, n, check in _packed(s, self.width):
             self.add(s.min_exp + k, n, value, check)
 
     def series(self, v_max: int) -> VSeries:
@@ -380,7 +370,7 @@ def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: in
     xs, ys = _packed(a, width), _packed(b, width)
     if len(xs) > 1 or len(ys) > 1:
         acc = PackedSum(width)
-        acc.add_product(low, xs, ys, sign)
+        convolve_into(acc, a, b, shift, sign, v_max)
         return acc.series(v_max)
     # a single-parity canonical run is its even half, whose first and last
     # digits are nonzero; so are the product's, and only the cut leaves zeros
@@ -403,7 +393,9 @@ def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int,
     low = a.min_exp + b.min_exp + shift
     if low > v_max or not a.coeffs or not b.coeffs:
         return
-    acc.add_product(low, acc.pack(a), acc.pack(b), sign)
+    for ka, pa, na, ca in _packed(a, acc.width):
+        for kb, pb, nb, cb in _packed(b, acc.width):
+            acc.add(low + ka + kb, na + nb - 1, sign * pa * pb, sign * ca * cb)
 
 
 def _divide(s: VSeries, js) -> VSeries:

@@ -6,9 +6,9 @@ indecomposables vanishes), so the orbit of sum m_i U_i has codimension
 dim Ext^1 = sum m_i * m_j * max(0, -euler(beta_i, beta_j)): see
 KostantPartition.orbit_codim.  The stratum's own codimension, for an
 admissible partition, comes from a second engine.  m names a product of
-root basis elements in the blocks' inner orders, concatenated in
-contraction order; reducing it to sign * v^v_power times the simple-root
-monomial of gamma is exact integer bookkeeping, and
+root basis elements in the blocks' inner orders, concatenated in the
+contraction order of m's blocks; reducing it to sign * v^v_power times the
+simple-root monomial of gamma (a closed form) is exact bookkeeping, and
 
     v_power = 2*codim + sum(gamma_i^2) - sum(m_u^2)
 
@@ -60,10 +60,10 @@ from .partitions import (
     DEFAULT_CAP,
     KostantSeries,
     SubquiverPartition,
+    _contraction_order,
     kostant_series,
-    order_blocks,
 )
-from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
+from .quiver import DimVector, Quiver, _check_keys
 from .series import VSeries, poincare_series, times_poincare
 
 
@@ -135,17 +135,6 @@ def _product_form(q: Quiver, factors: Sequence[tuple[tuple[int, ...], int]]) -> 
     return (-1 if merges % 2 else 1), power, current
 
 
-def _simple_monomial_form(q: Quiver, values: tuple[int, ...]) -> tuple[int, int]:
-    """Sign and v exponent of the simple-root monomial for a value tuple.
-
-    The monomial multiplies values[i] copies of each unit basis element in
-    topological vertex order.
-    """
-    units = [(q.unit(v).values, values[q.index(v)]) for v in topological_vertex_order(q)]
-    sign, power, _ = _product_form(q, units)
-    return sign, power
-
-
 def _lists(m: KostantSeries) -> tuple[tuple[int, ...], ...]:
     """Per-block multiplicities of m, each read in its block's inner order."""
     return tuple(tuple(kp.multiplicities[i] for i in kp.root_set.inner()) for kp in m.per_block)
@@ -154,21 +143,26 @@ def _lists(m: KostantSeries) -> tuple[tuple[int, ...], ...]:
 def _stratum_form(
     q: Quiver, p: SubquiverPartition, m: KostantSeries, positions: Sequence[Sequence[int]]
 ) -> MonomialNormalForm:
-    """Normal form of m's blocks, each read at its positions, embedded and
-    concatenated in p's contraction order (p may list m's blocks in another
-    order), as sign * v^v_power times the simple-root monomial of the total.
-    Raises NotAdmissibleError."""
+    """Normal form of m's blocks, each read at its positions (multiplicity 0
+    skipped) and concatenated in the contraction order of m's partition; p
+    must have the same blocks.  Contraction orders differ only by swapping
+    blocks no arrow joins, whose roots commute.  Raises NotAdmissibleError.
+
+    Heads first, the simple-root monomial of total is
+    (-1)^(|total| - 1) * v^(-sum over arrows t -> h of total[t] * total[h]).
+    """
     if {frozenset(b) for b in p.blocks} != {frozenset(b) for b in m.partition.blocks}:
         raise KeyMismatchError("Kostant series built on a different partition")
     factors = []
-    for block in order_blocks(q, p).blocks:
-        j = m.partition.block_index(block)
+    for j in _contraction_order(q, m.partition.blocks):
         kp = m.per_block[j]
         factors += [(kp.root_set.roots[i].embed(q.vertices).values, kp.multiplicities[i])
-                    for i in positions[j]]
+                    for i in positions[j] if kp.multiplicities[i]]
     sign, power, total = _product_form(q, factors)
-    s_sign, s_power = _simple_monomial_form(q, total)
-    return MonomialNormalForm(sign * s_sign, power - s_power, DimVector(q.vertices, total))
+    if sum(total) % 2 == 0 and any(total):
+        sign = -sign
+    power += sum(total[t] * total[h] for t, h in q._arrow_pairs)
+    return MonomialNormalForm(sign, power, DimVector(q.vertices, total))
 
 
 def monomial_normal_form(
@@ -176,22 +170,22 @@ def monomial_normal_form(
 ) -> MonomialNormalForm:
     """Normal form of the ordered root monomial named by m.
 
-    The factors are regrouped block by block (heads-first block
-    arrangement, each block keeping the order's inner sequence) and
-    reduced to sign * v^v_power times the topologically ordered
-    simple-root monomial of the total dimension vector.  Any valid
-    interleaving multiplies out to the same element, so only the inner
-    block orders matter; they must be valid.  Raises NotAdmissibleError
-    when the partition admits no heads-first block arrangement.
+    The order's roots are regrouped by m's blocks in contraction order,
+    each block keeping the order's sequence, and reduced as _stratum_form
+    does.  Valid interleavings multiply out alike, so only the inner
+    orders matter, and they must be valid.  Raises InvalidOrderError
+    naming an order root that is no root of m's blocks, and
+    NotAdmissibleError when the partition admits no block arrangement.
     """
     # block supports are disjoint, so an embedded root's values name its block
-    where = {root.values: (j, r) for j, r, root, _ in m.entries()}
+    where = {r.embed(q.vertices).values: (j, i)
+             for j, kp in enumerate(m.per_block) for i, r in enumerate(kp.root_set.roots)}
     positions: list[list[int]] = [[] for _ in m.per_block]
     for root, _ in order.entries:
         if root.values not in where:
             raise InvalidOrderError(f"order root {root} is not a root of the series' blocks")
-        j, r = where[root.values]
-        positions[j].append(m.per_block[j].root_set.index(r))
+        j, i = where[root.values]
+        positions[j].append(i)
     return _stratum_form(q, p, m, positions)
 
 

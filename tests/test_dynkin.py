@@ -190,10 +190,23 @@ def test_root_count_type_d(d4):
     assert len(positive_roots(star((1, 1, 2))).roots) == 20
 
 
-def test_root_set_index_roundtrip(a3):
-    rs = positive_roots(a3)
-    for i, r in enumerate(rs.roots):
-        assert rs.index(r) == i
+def test_root_box_holds_every_e8_entry(a2, monkeypatch):
+    """The scan's box reaches 6, the largest entry of E8's highest root (found
+    by the reflection closure).  Scanning E8 itself takes seconds, so the
+    test reads the box the scan asks for on A2."""
+    import itertools
+    import quiverdt.dynkin as dynkin
+
+    top = max(max(v) for v in oracles.reflection_closure_roots(star((1, 2, 4))))
+    boxes = []
+
+    def spy(box, repeat):
+        boxes.append(box)
+        return itertools.product(box, repeat=repeat)
+
+    monkeypatch.setattr(dynkin, "product", spy)
+    assert len(positive_roots.__wrapped__(a2).roots) == 3
+    assert top == 6 and max(boxes[0]) >= top
 
 
 def test_kostant_a2_gamma11(a2):

@@ -148,14 +148,20 @@ GENERATED_CAP = 50
 @given(quiver_records())
 # E7, legs (1, 2, 3) off v0: 63 roots, more than the cap
 @example(_record(7, [(1, 0), (2, 0), (3, 2), (4, 0), (5, 4), (6, 5)]))
+@example(_record(0, []))
 def test_cli_on_generated_quivers_exits_0_1_or_2_within_the_cap(tmp_path, record):
-    """analyze, partitions, roots and one-block codim at gamma = all-1 end in
-    exit 0, 1 or 2 without a traceback, and print at most --cap result rows."""
+    """analyze, partitions, roots, one-block codim, betti and orbits at gamma =
+    all-1, and dt and factorize --all-partitions at bound 1, end in exit 0, 1
+    or 2 without a traceback, and print at most --cap result rows.  A bound
+    box past the cap exits 2."""
     path = tmp_path / "generated.json"
     path.write_text(json.dumps(record))
     vertices = record["vertices"]
     strata = ["--partition", json.dumps([vertices]), "--gamma", json.dumps({v: 1 for v in vertices})]
-    for command, extra in (("analyze", []), ("partitions", []), ("roots", []), ("codim", strata)):
+    box = ["--gamma-bound", "1", "--q-order", "2"]
+    for command, extra in (("analyze", []), ("partitions", []), ("roots", []), ("codim", strata),
+                           ("betti", strata), ("orbits", strata), ("dt", box),
+                           ("factorize", ["--all-partitions", *box])):
         argv = [command, "--quiver", str(path), "--cap", str(GENERATED_CAP), "--format", "jsonl", *extra]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -26,6 +26,7 @@ def test_make_partition_a3_two_blocks(a3):
     assert p.blocks == (("1",), ("2", "3"))
     assert p.types == (DynkinType("A", 1), DynkinType("A", 2))
     assert str(p) == "[1][2,3]"
+    assert p.size == 2
 
 
 def test_make_partition_rejects_disconnected_block(a3):
@@ -43,12 +44,6 @@ def test_make_partition_rejects_cyclic_block(atilde2):
     with pytest.raises(NotDynkinError) as exc:
         make_partition(atilde2, [["1", "2", "3"]])
     assert exc.value.kind == "cycle"
-
-
-def test_block_lookup(a3):
-    p = make_partition(a3, [["1"], ["2", "3"]])
-    assert p.block_index(["3", "2"]) == 1
-    assert p.size == 2
 
 
 def test_enumerate_a3_all_admissible(a3):

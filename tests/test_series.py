@@ -96,13 +96,12 @@ def test_canonical_constructor_matches_the_validated_one(coeffs, min_exp, v_max)
 
 def test_memo_keeps_norms_and_halves_at_the_last_width():
     s = series({0: 3, 2: -5, 3: 1})
-    acc8, acc16 = series_mod.PackedSum(8), series_mod.PackedSum(16)
     assert s._memo is None
     assert series_mod.product_width([s], [s]) == 8  # min(9 * 5, 5 * 9) = 45
     assert s._memo[:2] == [9, 5]
-    halves = acc8.pack(s)
-    assert acc8.pack(s) is halves and s._memo[2:] == [8, halves]
-    assert acc16.pack(s) == series_mod._halves(s.coeffs, 16) and s._memo[2] == 16
+    halves = series_mod._packed(s, 8)
+    assert series_mod._packed(s, 8) is halves and s._memo[2:] == [8, halves]
+    assert series_mod._packed(s, 16) == series_mod._halves(s.coeffs, 16) and s._memo[2] == 16
     assert s == series({0: 3, 2: -5, 3: 1}) and "_memo" not in repr(s)
 
 

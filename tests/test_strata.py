@@ -12,6 +12,7 @@ from quiverdt import (
     InconsistencyError,
     InvalidInputError,
     InvalidOrderError,
+    KeyMismatchError,
     NotTypeAError,
     admissible_total_order,
     betti_identity_check,
@@ -29,6 +30,7 @@ from quiverdt import (
     positive_roots,
     series_from_inner_lists,
     stratum_orbit_decomposition,
+    topological_vertex_order,
 )
 
 
@@ -92,11 +94,22 @@ def test_normal_form_invariant_under_block_permutation(a3, a4, d4, atilde2, rng)
                     assert (nf.sign, nf.v_power) == (base.sign, base.v_power)
 
 
+def _literal_form(q, entries, m):
+    """(sign, v_power) of the factors of m multiplied literally in the order
+    of entries, over the simple-root monomial multiplied out heads first:
+    the oracle's fold, one copy at a time."""
+    mult = {root.values: k for _, _, root, k in m.entries()}
+    sign, power, total = oracles.monomial_product_form(
+        q, [e.root for e in entries for _ in range(mult[e.root.values])])
+    s_sign, s_power, _ = oracles.monomial_product_form(
+        q, [q.unit(v) for v in topological_vertex_order(q) for _ in range(total[v])])
+    return sign * s_sign, power - s_power
+
+
 def test_normal_form_matches_every_literal_admissible_product(a3, a4, a3_source_mid):
     """Multiplying the factors literally, in any order that passes
     validation, lands on the same canonical (sign, v_power)."""
     from oracles import brute_force_valid_orders
-    from quiverdt.strata import _product_form, _simple_monomial_form
 
     interleaved = 0
     for q in (a3, a4, a3_source_mid):
@@ -109,20 +122,34 @@ def test_normal_form_matches_every_literal_admissible_product(a3, a4, a3_source_
             for m in kostant_series(q, p, g):
                 base = monomial_normal_form(q, p, admissible_total_order(q, p), m)
                 for entries in orders:
-                    factors = []
-                    for e in entries:
-                        jm = m.partition.block_index(p.blocks[e.block])
-                        kp = m.per_block[jm]
-                        local = e.root.restrict(m.partition.blocks[jm])
-                        mult = kp.multiplicities[kp.root_set.index(local)]
-                        if mult:
-                            factors.append((e.root.values, mult))
-                    sign, power, total = _product_form(q, factors)
-                    s_sign, s_power = _simple_monomial_form(q, total)
-                    assert (sign * s_sign, power - s_power) == (base.sign, base.v_power)
+                    assert _literal_form(q, entries, m) == (base.sign, base.v_power)
                     if [e.block for e in entries] != sorted(e.block for e in entries):
                         interleaved += 1
     assert interleaved > 100
+
+
+def test_simple_root_monomial_closed_form_matches_the_fold(rng):
+    """On random acyclic quivers, gamma = 0 included, the normal form equals the
+    literal product over the simple-root monomial folded copy by copy.  On
+    singleton blocks the product is the simple-root monomial itself, so its
+    form must be (1, 0): the closed form equals the fold."""
+    zeros = 0
+    for _ in range(240):
+        q = oracles.random_acyclic_quiver(rng, max_vertices=5, max_arrows=6)
+        g = q.zero() if rng.random() < 0.15 else oracles.random_dim_vector(rng, q, top=2)
+        zeros += g.is_zero
+        singles = make_partition(q, [[v] for v in q.vertices])
+        (m,) = kostant_series(q, singles, g)
+        order = admissible_total_order(q, singles)
+        nf = monomial_normal_form(q, singles, order, m)
+        assert (nf.sign, nf.v_power, nf.gamma) == (1, 0, g)
+        assert _literal_form(q, order.entries, m) == (1, 0)
+        p = rng.choice(enumerate_partitions(q, admissible_only=True))
+        order = admissible_total_order(q, p)
+        for m in kostant_series(q, p, g)[:5]:
+            nf = monomial_normal_form(q, p, order, m)
+            assert (nf.sign, nf.v_power) == _literal_form(q, order.entries, m)
+    assert zeros >= 10
 
 
 def test_product_form_matches_copy_by_copy_fold(rng):
@@ -321,28 +348,19 @@ def test_betti_computes_inner_orders_once_per_block(a3, inner_sorts):
         assert inner_sorts == [1, 3]
 
 
-def _count_calls(monkeypatch, name):
-    """Record the arguments of every library call to ordering's or strata's
-    binding of name."""
-    import quiverdt.ordering as ordering
-    import quiverdt.strata as strata
-
-    calls = []
-    real = getattr(strata, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    for module in (ordering, strata):
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_codim_contracts_once_and_orders_each_block_once(a3, d4, monkeypatch, inner_sorts):
     """One contraction per check, and one sort per distinct block quiver per
     process, however many series and checks read it."""
-    contractions = _count_calls(monkeypatch, "order_blocks")
+    import quiverdt.strata as strata
+
+    contractions = []
+    real = strata._contraction_order
+
+    def counted(*args):
+        contractions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(strata, "_contraction_order", counted)
     blocks_seen = set()
     for q, blocks in ((a3, [["1"], ["2", "3"]]), (d4, [["3"], ["c", "1", "2"]])):
         p = make_partition(q, blocks)
@@ -396,6 +414,50 @@ def test_codims_ignore_how_the_blocks_are_listed(a3, a4, d4):
                     assert got == seen.setdefault(key, got)
                     assert codim_of_stratum(q, p, m, g).codim == got[0]
             assert seen
+
+
+def test_forms_read_the_series_blocks_not_the_listing(quiver_dir):
+    """On every series of every admissible multi-block partition of
+    quivers/*.json at gamma = all-2, passing the series' blocks in reverse
+    order gives the codimension report and normal form that its own
+    partition gives."""
+    checked = 0
+    for path in sorted(quiver_dir.glob("*.json")):
+        q = parse_quiver(path.read_text())
+        g = q.vector({v: 2 for v in q.vertices})
+        for p in enumerate_partitions(q, admissible_only=True):
+            if p.size < 2:
+                continue
+            reverse = make_partition(q, p.blocks[::-1])
+            order = admissible_total_order(q, p)
+            for m in kostant_series(q, p, g):
+                assert codim_of_stratum(q, reverse, m, g) == codim_of_stratum(q, p, m, g)
+                assert (monomial_normal_form(q, reverse, order, m)
+                        == monomial_normal_form(q, p, order, m))
+                checked += 1
+    assert checked == 56
+
+
+def test_series_on_another_partition_is_refused(a3):
+    g = a3.vector([2, 2, 2])
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    other = make_partition(a3, [["1", "2"], ["3"]])
+    m = kostant_series(a3, other, g)[0]
+    with pytest.raises(KeyMismatchError, match="different partition"):
+        codim_of_stratum(a3, p, m, g)
+    with pytest.raises(KeyMismatchError, match="different partition"):
+        monomial_normal_form(a3, p, admissible_total_order(a3, other), m)
+
+
+def test_normal_form_refuses_an_order_from_another_partition(a3):
+    """The order of [1,2][3] holds the root (1,1,0), which no block of
+    [1][2,3] has; the error names it."""
+    g = a3.vector([2, 2, 2])
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    order = admissible_total_order(a3, make_partition(a3, [["1", "2"], ["3"]]))
+    m = kostant_series(a3, p, g)[0]
+    with pytest.raises(InvalidOrderError, match=re.escape(str(a3.vector([1, 1, 0])))):
+        monomial_normal_form(a3, p, order, m)
 
 
 def test_betti_zero_gamma(a2):
