@@ -561,6 +561,29 @@ def test_orbits_example_orders_each_block_once(capsys, a3_path, inner_sorts):
         assert inner_sorts == [1, 3]
 
 
+def test_every_codim_row_round_trips_through_series(capsys, quiver_dir):
+    """Every codim row of every admissible partition of quivers/ at gamma =
+    all-2, fed back as --series, gives back one row with its codim and parity."""
+    checked = 0
+    for path in sorted(quiver_dir.glob("*.json")):
+        gamma = json.dumps({v: 2 for v in json.loads(path.read_text())["vertices"]})
+        _, out, _ = run(capsys, "partitions", "--quiver", str(path), "--format", "jsonl")
+        for part in jsonl_rows(out):
+            if part["type"] != "partition" or not part["admissible"]:
+                continue
+            argv = ("codim", "--quiver", str(path), "--partition", json.dumps(part["blocks"]),
+                    "--gamma", gamma, "--format", "jsonl")
+            _, out, _ = run(capsys, *argv)
+            for row in (r for r in jsonl_rows(out) if r["type"] == "codim"):
+                code, back, _ = run(capsys, *argv, "--series", json.dumps(row["series"]))
+                want = [(row["series"], row["codim"], row["sign_exponent_parity"])]
+                got = [(b["series"], b["codim"], b["sign_exponent_parity"])
+                       for b in jsonl_rows(back) if b["type"] == "codim"]
+                assert code == 0 and got == want, (path.name, part["blocks"])
+                checked += 1
+    assert checked
+
+
 def test_codim_of_two_huge_entries_in_one_block_stops_at_the_cap(capsys, quiver_dir):
     """Every multiplicity of the root (1,1) is an output, so --cap 5 ends the walk."""
     started = time.perf_counter()

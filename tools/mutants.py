@@ -1,6 +1,6 @@
 """Seeded mutation sampler: how many operator flips does the tier-1 suite catch?
 
-    python tools/mutants.py [--seed 0] [--sites 6] [--timeout 240] [--workdir DIR] [MODULE ...]
+    python tools/mutants.py [--workdir DIR] [MODULE ...]
 
 MODULE names files of src/quiverdt (strata.py, series.py, ...); the default
 is every module but __init__.py and __main__.py.  The sampler copies src/,
@@ -10,9 +10,9 @@ module it lists the operator sites it can flip:
 
     +  <->  -      *  <->  //      <  <->  <=      ==  <->  !=
 
-and draws --sites of them with random.Random(f"{seed}/{module}").  Each
-mutant flips one site, and the tier-1 suite runs on it with -x.  A mutant
-is killed when the suite fails or runs past --timeout seconds (a hang);
+and draws SITES = 6 of them with random.Random(f"{SEED}/{module}"), SEED = 0.
+Each mutant flips one site, and the tier-1 suite runs on it with -x.  A
+mutant is killed when the suite fails or runs past TIMEOUT = 240 seconds (a hang);
 it survives when the suite passes.  One line per mutant and a kill count
 per module go to stdout.  Standard library only.
 """
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "quiverdt"
+SEED, SITES, TIMEOUT = 0, 6, 240.0
 FLIPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
@@ -75,13 +76,13 @@ def mutate(source: str, site: tuple[tuple[int, int, int, int], int]) -> tuple[st
     return ast.unparse(tree), f"{SYMBOLS[old]} -> {SYMBOLS[FLIPS[old]]}"
 
 
-def run_suite(workdir: Path, timeout: float) -> str:
+def run_suite(workdir: Path) -> str:
     """'killed', 'timeout' or 'survived' for the tier-1 suite run with -x in workdir."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
     try:
-        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -90,9 +91,6 @@ def run_suite(workdir: Path, timeout: float) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sites", type=int, default=6)
-    parser.add_argument("--timeout", type=float, default=240.0)
     parser.add_argument("--workdir", type=Path)
     args = parser.parse_args(argv)
     modules = args.modules or sorted(p.name for p in (ROOT / PACKAGE).glob("*.py")
@@ -102,20 +100,20 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / part, workdir / part, dirs_exist_ok=True,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy(ROOT / "pyproject.toml", workdir)
-    if run_suite(workdir, args.timeout) != "survived":
+    if run_suite(workdir) != "survived":
         print("the suite fails on the unmutated copy", file=sys.stderr)
         return 1
     for name in modules:
         target = workdir / PACKAGE / name
         source = target.read_text()
         found = sites(ast.parse(source))
-        picked = sorted(random.Random(f"{args.seed}/{name}").sample(found, min(args.sites, len(found))))
+        picked = sorted(random.Random(f"{SEED}/{name}").sample(found, min(SITES, len(found))))
         killed = 0
         try:
             for site in picked:
                 mutant, flip = mutate(source, site)
                 target.write_text(mutant)
-                verdict = run_suite(workdir, args.timeout)
+                verdict = run_suite(workdir)
                 killed += verdict != "survived"
                 print(f"{verdict:8}  {name}:{site[0][0]}  {flip}", flush=True)
         finally:
