@@ -37,6 +37,11 @@ it: its _memo holds [L1, Linf, width, halves], the norms filled on first
 use and the packed halves for the last digit width it was packed at.  A
 dilogarithm chain hands most series through many products unchanged
 (see algebra), and each is measured and packed once, not once per product.
+A product of one exponent parity is born packed: product() and
+PackedSum.series unpack it with both checks, then take its norms from the
+digits they kept and its packed half from the product's own value by one
+mask (see _born_packed), so a product multiplied again at its width is
+never packed.
 """
 from __future__ import annotations
 
@@ -134,14 +139,16 @@ class VSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def _canonical(cls, v_max: int, min_exp: int, coeffs: tuple[int, ...]) -> VSeries:
+    def _canonical(cls, v_max: int, min_exp: int, coeffs: tuple[int, ...],
+                   memo: list | None = None) -> VSeries:
         """The series of a run that is already canonical: a tuple of ints,
-        cut at v_max and with no zero at either end (as _trim returns it).
+        cut at v_max and with no zero at either end (as _trim returns it),
+        with its memo if the caller already knows it.
 
         Internal: it skips the checks and the trim of __post_init__.
         """
         s = object.__new__(cls)
-        s.__dict__.update(v_max=v_max, min_exp=min_exp, coeffs=coeffs, _memo=None)
+        s.__dict__.update(v_max=v_max, min_exp=min_exp, coeffs=coeffs, _memo=memo)
         return s
 
     @classmethod
@@ -340,10 +347,14 @@ class PackedSum:
             self.add(s.min_exp + k, n, value, check)
 
     def series(self, v_max: int) -> VSeries:
-        """The sum, unpacked and truncated at v_max."""
+        """The sum, unpacked and truncated at v_max; born packed at the sum's
+        width when one parity class is live."""
+        live = list(filter(None, self.classes))
         runs = []
-        for low, high, value, check in filter(None, self.classes):
+        for low, high, value, check in live:
             digits = _unpack(value, (high - low) // 2 + 1, self.width, check)
+            if len(live) == 1:
+                return _born_packed(v_max, low, digits, value, self.width)
             if low <= v_max:  # digits past v_max are unpacked for the checks, then cut
                 runs.append((low, digits[:(v_max - low) // 2 + 1]))
         if not runs:
@@ -362,7 +373,8 @@ def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: in
     (from their memos) make one bigint product, unpacked once with the sum
     check of _unpack; no PackedSum is built.  Otherwise the up to four half
     products are summed in one PackedSum.  As in PackedSum.series, digits
-    past v_max are unpacked for the checks and then cut.
+    past v_max are unpacked for the checks and then cut, and a result of one
+    parity is born packed at width.
     """
     low = a.min_exp + b.min_exp + shift
     if low > v_max or not a.coeffs or not b.coeffs:
@@ -372,17 +384,44 @@ def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: in
         acc = PackedSum(width)
         convolve_into(acc, a, b, shift, sign, v_max)
         return acc.series(v_max)
-    # a single-parity canonical run is its even half, whose first and last
-    # digits are nonzero; so are the product's, and only the cut leaves zeros
+    # a single-parity canonical run is its even half
     (_, pa, na, ca), = xs
     (_, pb, nb, cb), = ys
-    digits = _unpack(sign * pa * pb, na + nb - 1, width, sign * ca * cb)
-    keep = min(len(digits), (v_max - low) // 2 + 1)
-    out = [0] * (2 * keep - 1)
-    out[::2] = digits[:keep]
-    while not out[-1]:
-        out.pop()
-    return VSeries._canonical(v_max, low, tuple(out))
+    value = sign * pa * pb
+    return _born_packed(v_max, low, _unpack(value, na + nb - 1, width, sign * ca * cb),
+                        value, width)
+
+
+def _born_packed(v_max: int, low: int, digits: tuple[int, ...], value: int, width: int) -> VSeries:
+    """The series of one parity class, digit i of value at v^(low + 2i), cut at
+    v_max, born with its memo at width: norms and packed half, no re-pack.
+
+    digits must be what _unpack returned for value, so each digit d_i fits a
+    signed width-bit digit.  Then value + _bias(width, n) holds the digit
+    d_i + 2^(width-1), in [0, 2^width), at each place, so no place carries
+    into the next; masking it to its low width * e bits keeps digits 0..e-1
+    exactly, and subtracting _bias(width, e) leaves sum over i < e of
+    d_i * 2^(width*i), the packed value of digits[:e].  When digits 0..s-1
+    are zero that value is a multiple of 2^(width*s), so shifting it right
+    by width * s packs digits[s:e] exactly.
+    """
+    end = max(0, min(len(digits), (v_max - low) // 2 + 1))  # digits past v_max are cut
+    start = 0
+    while start < end and not digits[start]:
+        start += 1
+    while end > start and not digits[end - 1]:
+        end -= 1
+    if start == end:
+        return VSeries._canonical(v_max, 0, ())
+    run = digits[start:end]
+    if start or end < len(digits):
+        value = (((value + _bias(width, len(digits))) & ((1 << width * end) - 1))
+                 - _bias(width, end)) >> width * start
+    out = [0] * (2 * len(run) - 1)
+    out[::2] = run
+    mags = list(map(abs, run))
+    return VSeries._canonical(v_max, low + 2 * start, tuple(out),
+                              [sum(mags), max(mags), width, ((0, value, len(run), sum(run)),)])
 
 
 def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int, v_max: int) -> None:

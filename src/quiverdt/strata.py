@@ -173,19 +173,32 @@ def monomial_normal_form(
     The order's roots are regrouped by m's blocks in contraction order,
     each block keeping the order's sequence, and reduced as _stratum_form
     does.  Valid interleavings multiply out alike, so only the inner
-    orders matter, and they must be valid.  Raises InvalidOrderError
-    naming an order root that is no root of m's blocks, and
-    NotAdmissibleError when the partition admits no block arrangement.
+    orders matter, and they must be valid: read per block of m, the order
+    names each root of the block once, and a root u before a root w has
+    skew(u, w) >= 0.  Raises InvalidOrderError naming the first root that
+    breaks this (or is no root of m's blocks), and NotAdmissibleError when
+    the partition admits no block arrangement.
     """
+    embedded = [[r.embed(q.vertices) for r in kp.root_set.roots] for kp in m.per_block]
     # block supports are disjoint, so an embedded root's values name its block
-    where = {r.embed(q.vertices).values: (j, i)
-             for j, kp in enumerate(m.per_block) for i, r in enumerate(kp.root_set.roots)}
+    where = {r.values: (j, i) for j, roots in enumerate(embedded) for i, r in enumerate(roots)}
     positions: list[list[int]] = [[] for _ in m.per_block]
     for root, _ in order.entries:
         if root.values not in where:
             raise InvalidOrderError(f"order root {root} is not a root of the series' blocks")
         j, i = where[root.values]
+        if i in positions[j]:
+            raise InvalidOrderError(f"order root {root} is named twice")
+        for k in positions[j]:
+            val = q.skew_values(embedded[j][k].values, root.values)
+            if val < 0:
+                raise InvalidOrderError(
+                    f"order root {root} comes after {embedded[j][k]} of its block, skew form {val}")
         positions[j].append(i)
+    for j, roots in enumerate(embedded):
+        for i, r in enumerate(roots):
+            if i not in positions[j]:
+                raise InvalidOrderError(f"order leaves out root {r} of the series' block {j}")
     return _stratum_form(q, p, m, positions)
 
 

@@ -68,6 +68,13 @@ def series_from_pairs(v_max: int, pairs) -> VSeries:
     return VSeries.from_terms(v_max, {int(e): int(c) for e, c in pairs})
 
 
+def q_series(v_max: int, min_exp: int, run) -> VSeries:
+    """The series with run[i] at v^(min_exp + 2i): one exponent parity."""
+    out = [0] * (2 * len(run) - 1) if run else []
+    out[::2] = run
+    return VSeries(v_max, min_exp, out)
+
+
 def naive_poly_mul(a_pairs, b_pairs):
     """Dict-based convolution of (exponent, coefficient) pair lists."""
     out: dict[int, int] = {}

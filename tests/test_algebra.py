@@ -6,7 +6,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from quiverdt import (
@@ -952,3 +952,54 @@ def test_packed_compare_matches_the_built_product(a3, rng, monkeypatch):
                 ref, product)
     # 2 * (1 + q) - 2 at y_e1: the packed sum starts at v^0, the series at v^2
     assert qt_multiply(*pairs[0]).terms[e1] == VSeries.monomial(work, 2, 2)
+
+
+q_runs = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40),
+                            st.integers(-(2**90), 2**90)), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("path", ["array", "bytes"])
+@given(a=q_runs, b=q_runs, ea=st.integers(-6, 6), eb=st.integers(-6, 6),
+       shift=st.integers(-6, 6), sign=st.sampled_from((1, -1)),
+       kind=st.sampled_from(["none", "product", "bumped", "random"]), er=st.integers(-12, 12),
+       run=q_runs, bump=st.sampled_from((1, -3, 2**70)), v_max=st.integers(-20, 24),
+       width=st.sampled_from(range(8, 201, 8)))
+@settings(max_examples=200)
+@example(a=[1], b=[1], ea=0, eb=0, shift=0, sign=1, kind="bumped", er=4, run=[1], bump=1,
+         v_max=4, width=8)  # the two differ at v_max alone
+@example(a=[1], b=[2], ea=1, eb=0, shift=-4, sign=-1, kind="bumped", er=-5, run=[1], bump=1,
+         v_max=-3, width=8)  # the bump is the reference's first digit
+@example(a=[1], b=[1], ea=0, eb=0, shift=2, sign=1, kind="random", er=0, run=[1], bump=1,
+         v_max=0, width=8)  # runs of one digit 1, at v^2 and v^0
+@example(a=[2], b=[3], ea=1, eb=2, shift=0, sign=1, kind="random", er=4, run=[6], bump=1,
+         v_max=4, width=8)  # 6 v^3 against 6 v^4: the parities differ
+@example(a=[2], b=[3], ea=1, eb=2, shift=0, sign=1, kind="none", er=0, run=[1], bump=1,
+         v_max=3, width=8)  # no reference, and the product starts at v_max
+@example(a=[2], b=[3], ea=1, eb=2, shift=0, sign=1, kind="random", er=5, run=[1], bump=1,
+         v_max=2, width=8)  # both runs start past v_max
+def test_lone_product_compare_is_unpack_and_compare(path, a, b, ea, eb, shift, sign, kind, er,
+                                                    run, bump, v_max, width):
+    """For a lone product of two one-parity series and a reference of at most
+    one parity (or none), _agree takes its one-run path and answers what
+    unpacking the product and comparing up to v_max answers: references of
+    the other parity, cut before the first digit, or equal but for one digit."""
+    work = 40
+    sa, sb = oracles.q_series(work, ea, a), oracles.q_series(work, eb, b)
+    if not (sa and sb):  # a pair loop holds no zero series
+        return
+    built = series_mod.product(sa, sb, shift, sign, work, series_mod.product_width([sa], [sb]))
+    r = {"none": None, "product": built, "random": oracles.q_series(work, er, run),
+         "bumped": built + VSeries.monomial(work, bump, er)}[kind]
+    if r is not None and not r:  # nor a zero reference
+        r = None
+    top = 0 if r is None else max(map(abs, r.coeffs))
+    width = max(width, series_mod.product_width([sa], [sb]), series_mod._digit_width(top))
+    want = algebra_mod._cut(built, v_max) == algebra_mod._cut(r, v_max)
+    lone = []
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "bytes":
+            mp.setattr(series_mod, "_WORD_CODES", {})
+        real = algebra_mod._agree_lone
+        mp.setattr(algebra_mod, "_agree_lone", lambda *args: lone.append(1) or real(*args))
+        assert algebra_mod._agree((sa, sb, shift, sign), r, width, v_max) == want
+    assert lone == [1] or len(series_mod._packed(r, width)) == 2

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from quiverdt import VSeries, poincare_series
@@ -125,6 +125,68 @@ def test_pack_unpack_roundtrip(width, path, monkeypatch):
     packed = series_mod._pack(coeffs, width)
     assert packed == sum(c << (width * i) for i, c in enumerate(coeffs))
     assert series_mod._unpack(packed, len(coeffs), width, sum(coeffs)) == coeffs
+
+
+# runs from one digit width to past 64 bits, and widths from 8 to 200 bits
+q_runs = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40),
+                            st.integers(-(2**90), 2**90)), max_size=7)
+widths = st.sampled_from(range(8, 201, 8))
+
+
+def born_memo_is_fresh(s, width):
+    """s's memo is what measuring s afresh and packing it at width gives; a
+    zero series may also have none."""
+    fresh = VSeries._canonical(s.v_max, s.min_exp, s.coeffs)
+    series_mod._packed(fresh, width)
+    return s._memo == fresh._memo or (not s.coeffs and s._memo is None)
+
+
+@pytest.mark.parametrize("path", ["array", "bytes"])
+@given(a=q_runs, b=q_runs, ea=st.integers(-6, 6), eb=st.integers(-6, 6),
+       shift=st.integers(-6, 6), sign=st.sampled_from((1, -1)), v_max=st.integers(-20, 30),
+       width=widths)
+@settings(max_examples=150)
+def test_single_parity_products_are_born_packed(path, a, b, ea, eb, shift, sign, v_max, width):
+    """series.product of two one-parity series is the exact product cut at
+    v_max, born with the memo packing it afresh at its width would give."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "bytes":
+            mp.setattr(series_mod, "_WORD_CODES", {})
+        sa, sb = oracles.q_series(40, ea, a), oracles.q_series(40, eb, b)
+        width = max(width, series_mod.product_width([sa], [sb]))
+        got = series_mod.product(sa, sb, shift, sign, v_max, width)
+        pairs = oracles.naive_poly_mul(sa.to_pairs(), sb.to_pairs())
+        want = {e + shift: sign * c for e, c in pairs}
+        assert got == VSeries.from_terms(v_max, want)
+        assert born_memo_is_fresh(got, width)
+
+
+@pytest.mark.parametrize("path", ["array", "bytes"])
+@given(lead=st.integers(0, 3), middle=q_runs, trail=st.integers(0, 3),
+       split=st.lists(st.integers(-(2**40), 2**40), min_size=13, max_size=13),
+       low=st.integers(-7, 7), cut=st.integers(-4, 28), width=widths)
+@settings(max_examples=150)
+@example(lead=2, middle=[3, 0, -1], trail=2, split=[5] * 13, low=1, cut=6, width=8)
+@example(lead=1, middle=[], trail=1, split=[1] * 13, low=0, cut=9, width=8)
+def test_packed_sum_of_one_parity_is_born_packed(path, lead, middle, trail, split, low, cut,
+                                                 width):
+    """Two runs of one parity whose sum cancels at either end or altogether,
+    cut anywhere from before the first digit to past the last: PackedSum.series
+    is their exact sum, born with the memo packing it afresh would give."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "bytes":
+            mp.setattr(series_mod, "_WORD_CODES", {})
+        total = [0] * lead + middle + [0] * trail
+        assume(total)
+        first = split[:len(total)]
+        second = [t - f for t, f in zip(total, first)]
+        width = max(width, series_mod._digit_width(max(map(abs, total + first + second))))
+        acc = series_mod.PackedSum(width)
+        for run in (first, second):
+            acc.add(low, len(run), series_mod._pack(run, width), sum(run))
+        got = acc.series(low + cut)
+        assert got == VSeries.from_terms(low + cut, {low + 2 * i: c for i, c in enumerate(total)})
+        assert born_memo_is_fresh(got, width)
 
 
 def test_digit_width_holds_the_bound():

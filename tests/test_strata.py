@@ -460,6 +460,48 @@ def test_normal_form_refuses_an_order_from_another_partition(a3):
         monomial_normal_form(a3, p, order, m)
 
 
+@pytest.mark.parametrize("block, own", [
+    ({(1, 1): 2}, (1, 4)),
+    ({(0, 1): 1, (1, 0): 1, (1, 1): 1}, (-1, 7)),
+    ({(0, 1): 2, (1, 0): 2}, (1, 8)),  # every root with a multiplicity is in the order
+])
+def test_normal_form_refuses_the_order_of_a_finer_partition(quiver_dir, block, own):
+    """On quivers/a3.json at gamma = (2,2,2), each series of [1][2,3] with
+    the order of [1][2][3]: that order names (0,1,0) before (0,0,1), which
+    the block [2,3] must take the other way round (skew form -1), and
+    leaves out its root (0,1,1).  The error names the first of these; the
+    series' own order gives its form."""
+    q = parse_quiver((quiver_dir / "a3.json").read_text())
+    p = make_partition(q, [["1"], ["2", "3"]])
+    m, = [m for m in kostant_series(q, p, q.vector([2, 2, 2]))
+          if {r.values: k for r, k in m.per_block[1].nonzero()} == block]
+    nf = monomial_normal_form(q, p, admissible_total_order(q, p), m)
+    assert (nf.sign, nf.v_power, nf.gamma) == (*own, q.vector([2, 2, 2]))
+    finer = admissible_total_order(q, make_partition(q, [["1"], ["2"], ["3"]]))
+    first = f"{q.vector([0, 0, 1])} comes after {q.vector([0, 1, 0])} of its block, skew form -1"
+    with pytest.raises(InvalidOrderError, match=re.escape(first)):
+        monomial_normal_form(q, p, finer, m)
+
+
+def test_normal_form_refuses_a_missing_or_repeated_root_and_a_wrong_inner_order(a3):
+    """The own order of [1][2,3] is (1,0,0) | (0,0,1) (0,1,1) (0,1,0).
+    Leaving out a root, naming one twice, or swapping (0,0,1) and (0,1,0),
+    whose skew form is 1, raises InvalidOrderError naming the root at fault."""
+    p = make_partition(a3, [["1"], ["2", "3"]])
+    order = admissible_total_order(a3, p)
+    m = kostant_series(a3, p, a3.vector([2, 2, 2]))[0]
+    e = order.entries
+    with pytest.raises(InvalidOrderError, match=re.escape(f"leaves out root {e[3].root}")):
+        monomial_normal_form(a3, p, type(order)(a3, p, e[:3]), m)
+    twice = e[:3] + (e[2],)
+    with pytest.raises(InvalidOrderError, match=re.escape(f"{e[2].root} is named twice")):
+        monomial_normal_form(a3, p, type(order)(a3, p, twice), m)
+    swapped = (e[0], e[3], e[2], e[1])
+    with pytest.raises(InvalidOrderError,
+                       match=re.escape(f"{e[2].root} comes after {e[3].root} of its block")):
+        monomial_normal_form(a3, p, type(order)(a3, p, swapped), m)
+
+
 def test_betti_zero_gamma(a2):
     v = betti_identity_check(a2, whole(a2), a2.zero(), 20)
     assert v.equal and v.lhs.to_pairs() == [[0, 1]]
