@@ -36,22 +36,17 @@ v^(k^2) P_k, P_k a series in q, at y_(k*gamma), and chi(k*gamma, k*gamma) =
 k^2; a product adds skew(a, b) = chi(a, b) - chi(b, a), of the parity of
 chi(a + b, a + b) - chi(a, a) - chi(b, b).
 
-Series are packed as their exponent-parity halves in q-steps (see
-series).  A target y_gamma that one term pair alone reaches keeps that
-pair as (a, b, shift, sign), shift the pair's skew form, and at the end
-series.product multiplies it out: under the parity rule a and b have one
-half each, so that is one bigint product of half-length runs and one
-unpack, with no accumulator.  Only a target where two or more
-contributions meet gets a packed accumulator (series.PackedSum), which
-keeps one packed sum per parity, adds each contribution's half products
-into it, and is unpacked and truncated once.  Most targets are reached
-once: 25,975 of the 34,269 that need a multiply over trivial_dt and the
-132 factorization products of the perfbench torus-sweep inputs (seed 0).
-The digit width, shared by every product of one call, comes from the
-bound min(sum L1(x) * max Linf(y), max Linf(x) * sum L1(y)) over the
-terms' series (L1 is the sum of absolute coefficients, Linf the largest).
-It holds because one product's coefficients are bounded by L1(a) * Linf(b)
-and by Linf(a) * L1(b), and each x term meets at most one y term per target.
+A target y_gamma that one term pair alone reaches keeps that pair as a
+lone product (a, b, shift, sign), shift the pair's skew form, and at the
+end series.target_series multiplies it out: under the parity rule a and b
+have one exponent parity each, so that is one bigint product and one
+unpack, with no accumulator (see series).  Only a target where two or more
+contributions meet gets a packed accumulator, series.PackedSum, which is
+unpacked and truncated once.  Most targets are reached once: 25,975 of
+the 34,269 that need a multiply over trivial_dt and the 132 factorization
+products of the perfbench torus-sweep inputs (seed 0).  The digit width,
+shared by every product of one call, is series.product_width of the two
+elements' series, since each x term meets at most one y term per target.
 
 Two kinds of pair skip the multiply.  A y_0 term whose coefficient is exactly
 1 (compared on every call) hands the other term's series to its target
@@ -68,35 +63,22 @@ per call, so a pair's skew form is one dot product.
 
 verify_factorization multiplies every factor but the last one as
 factorization_product does, and leaves the last multiplication unbuilt.
-That multiplication runs the same pair loop (_contributions), and each
-target's packed runs are compared with the reference's series packed at
-the same digit width W: per exponent parity, the reference's run is
-subtracted, aligned at the lower first digit, and the difference is
-masked to the digits up to v_max.  The masked difference is zero exactly
-when the two agree up to v_max.  W is the larger of the L1 * Linf product
-width and the digit width of the reference's largest Linf, so both digit
-runs fit signed W-bit digits, and each digit d_i of the difference D =
-sum d_i 2^(W*i) has |d_i| < 2^W.  Let k digits lie up to v_max; the mask
-keeps the low W*k bits of D.  If d_0..d_(k-1) are all zero, D is a
-multiple of 2^(W*k) and the mask leaves 0.  Otherwise let d_j be the first
-nonzero one: D = 2^(W*j) * (d_j + 2^W * m) for an integer m, and d_j is
-not 0 mod 2^W, so the bits of D below W*(j + 1) <= W*k are not all zero.
-A lone product whose operands and reference have one parity each, 18,072
-of the 19,980 compares of a seed-0 torus-sweep round, skips the parity
-table: each run starts at a nonzero digit, so runs that start apart agree
-up to v_max exactly when both start past it, and runs that start together
-are subtracted and masked.  Only a target that fails the test is
-unpacked, with the top-digit and v = 1 checks of series, to build its
-mismatch.  A target that matches is never unpacked, so its digit-sum check
-does not run; the proven width bound keeps its digits exact, as it does
-for every product.
+That multiplication runs the same pair loop (_contributions), and
+series.target_agrees compares each target with the reference's series up
+to v_max on the packed runs, masked, at the digit width
+series.compare_width gives for both sides; series holds the compare and
+its proof.  A lone product whose operands and reference have one parity
+each, 18,072 of the 19,980 compares of a seed-0 torus-sweep round, costs
+one multiply, one subtraction and one mask.  Only a target that fails the
+test is unpacked, with the top-digit and v = 1 checks of series, to build
+its mismatch.  A target that matches is never unpacked, so its digit-sum
+check does not run; the proven width bound keeps its digits exact, as it
+does for every product.
 
-Work that depends on one series alone is done once per series, not once
-per product.  Its L1 and Linf, and its packed halves at the last digit
-width it was packed at, live in the series' memo (see series), and a
-series handed through keeps that memo.  A product of one parity is born
-with its memo at the width it was multiplied at, so the chain's next
-product at that width does not pack it.  dilog is memoized, so every
+Work that depends on one series alone, its norms and packed halves, is
+done once per series, not once per product: it is kept in the series'
+memo (see series), a series handed through keeps that memo, and a product
+of one parity is born with it.  dilog is memoized, so every
 product chain of one quiver, bound and cutoff multiplies by the same
 elements and their already packed series.  A target whose products
 cancel is left out, so a product never holds a zero series.
@@ -116,10 +98,10 @@ from .errors import (
     TruncationMismatchError,
 )
 from .ordering import RootOrder, admissible_total_order, validate_order
-from .partitions import SubquiverPartition
+from .partitions import SubquiverPartition, _check_partition
 from .quiver import DimVector, Quiver, _check_keys, topological_vertex_order
-from .series import (PackedSum, VSeries, _digit_width, _measure, _packed, _trim, convolve_into,
-                     poincare_series, product, product_width)
+from .series import (PackedSum, VSeries, compare_width, convolve_into, poincare_series,
+                     product_width, target_agrees, target_series)
 
 
 def working_v_max(q: Quiver, bound: DimVector, v_max: int) -> int:
@@ -147,7 +129,7 @@ class QuantumElement:
         _check_keys(self.quiver, gamma)
         if not gamma <= self.bound:
             raise BoundExceededError(f"{gamma} exceeds the support bound {self.bound}")
-        return VSeries(self.v_max, *_cut(self.terms.get(gamma), self.v_max))
+        return _cut(self.terms.get(gamma), self.v_max)
 
     def _check(self, other: QuantumElement) -> None:
         if self.quiver != other.quiver:
@@ -173,9 +155,9 @@ class QuantumElement:
         return sorted(self.terms, key=lambda g: (g.height, g.values))
 
 
-def _cut(s: VSeries | None, v_max: int) -> tuple[int, tuple[int, ...]]:
-    """(min_exp, coeffs) of s, zero when s is None, truncated at v_max."""
-    return (0, ()) if s is None else _trim(v_max, s.min_exp, s.coeffs)
+def _cut(s: VSeries | None, v_max: int) -> VSeries:
+    """s truncated at v_max, zero when s is None."""
+    return VSeries(v_max) if s is None else VSeries(v_max, s.min_exp, s.coeffs)
 
 
 def _element(
@@ -244,7 +226,7 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     width = product_width(x.terms.values(), y.terms.values())
     out = {}
     for g, held in _contributions(x, y, width):
-        s = _series(held, work, width)
+        s = target_series(held, work, width)
         if s.coeffs:  # products that cancel leave no term
             out[g] = s
     return QuantumElement(x.quiver, x.bound, x.v_max, out)
@@ -325,101 +307,30 @@ def _add_term(acc: PackedSum, term: tuple, work: int) -> None:
         convolve_into(acc, *term, work)
 
 
-def _series(held: VSeries | tuple | PackedSum, work: int, width: int) -> VSeries:
-    """The series a target's contributions sum to, cut at work; packed sums
-    and lone products are unpacked with the checks of series._unpack."""
-    if type(held) is VSeries:
-        return held
-    if type(held) is PackedSum:
-        return held.series(work)
-    return product(*held, work, width)
-
-
-def _agree(held: tuple | PackedSum, r: VSeries | None, width: int, v_max: int) -> bool:
-    """Whether a target's product contributions sum to r up to v^v_max, decided
-    on the packed runs at 2^width without unpacking them.
-
-    Each run, of the product and of r negated, is (low, value): digit 0 at
-    v^low, one digit per q-step.  The runs of one exponent parity are summed,
-    aligned at their lowest digit, and the difference is masked to the digits
-    up to v_max (see the module docstring).
-    """
-    rs = () if r is None else _packed(r, width)
-    if type(held) is PackedSum:
-        runs = [(c[0], c[2]) for c in held.classes if c]
-    else:
-        a, b, shift, sign = held
-        low = a.min_exp + b.min_exp + shift
-        xs, ys = _packed(a, width), _packed(b, width)
-        if len(xs) == len(ys) == 1 and len(rs) < 2:
-            ref = [(r.min_exp, value) for _, value, _, _ in rs]
-            return _agree_lone(low, sign * xs[0][1] * ys[0][1], ref, width, v_max)
-        runs = [(low + ka + kb, sign * pa * pb) for ka, pa, _, _ in xs for kb, pb, _, _ in ys]
-    runs += [(r.min_exp + k, -value) for k, value, _, _ in rs]
-    sums: dict[int, tuple[int, int]] = {}  # exponent parity -> (low, difference)
-    for low, value in runs:
-        prev = sums.get(low & 1)
-        if prev is not None:
-            lo, total = prev
-            if low < lo:
-                lo, low, total, value = low, lo, value, total
-            low, value = lo, total + (value << width * ((low - lo) >> 1))
-        sums[low & 1] = (low, value)
-    for lo, total in sums.values():
-        if lo <= v_max and total & (1 << width * ((v_max - lo) // 2 + 1)) - 1:
-            return False
-    return True
-
-
-def _agree_lone(low: int, value: int, ref: list, width: int, v_max: int) -> bool:
-    """_agree for a lone product's one run, value with digit 0 at v^low, and
-    the reference's runs ref, at most one (low, value), at 2^width.
-
-    Both are runs of canonical one-parity series, so each one's first digit
-    is nonzero: two runs that start at different exponents, of either
-    parity, differ at the lower start, and agree up to v_max exactly when
-    both start past it.  Runs that start together are subtracted digit for
-    digit and the difference masked as in _agree; with no reference run the
-    product's own first digit decides.
-    """
-    for r_low, r_value in ref:
-        if r_low != low:
-            return min(low, r_low) > v_max
-        value -= r_value
-    return low > v_max or not value & (1 << width * ((v_max - low) // 2 + 1)) - 1
-
-
 def _mismatches(x: QuantumElement, y: QuantumElement, reference: QuantumElement,
                 v_max: int) -> list[tuple[DimVector, VSeries, VSeries]]:
     """(gamma, reference side, product side) for every gamma within the bound
     where reference and x * y differ up to v_max, by height then values.
 
-    x * y is not built: each target's packed contributions are compared with
-    the reference's packed series (see _agree), and only a target that
-    differs is unpacked.  The digit width holds the product's coefficients
-    (see product_width) and the reference's largest Linf.
+    x * y is not built: each target is compared with the reference's series
+    by series.target_agrees, and only a target that differs is unpacked.
     """
     ref = reference.terms
     work = working_v_max(x.quiver, x.bound, v_max)
-    top = max(((s._memo or _measure(s))[1] for s in ref.values()), default=0)
-    width = max(product_width(x.terms.values(), y.terms.values()), _digit_width(top))
+    width = compare_width(x.terms.values(), y.terms.values(), ref.values())
     targets = _contributions(x, y, width)
     differ, reached = [], 0
     for g, held in targets:
         r = ref.get(g)
         reached += r is not None
-        if not (held == r if type(held) is VSeries else _agree(held, r, width, v_max)):
-            differ.append((g, r, held))
+        if not target_agrees(held, r, width, v_max):
+            differ.append((g, _cut(r, v_max), _cut(target_series(held, work, width), v_max)))
     if reached < len(ref):  # the product is zero at a gamma it never reaches
-        seen = {g for g, _ in targets}
-        differ += [(g, r, None) for g, r in ref.items() if g not in seen]
-    out = []
-    for g, r, held in sorted(differ, key=lambda d: (d[0].height, d[0].values)):
-        a = _cut(r, v_max)
-        b = _cut(None if held is None else _series(held, work, width), v_max)
-        if a != b:
-            out.append((g, VSeries(v_max, *a), VSeries(v_max, *b)))
-    return out
+        for g in ref.keys() - {g for g, _ in targets}:
+            r = _cut(ref[g], v_max)
+            if r:
+                differ.append((g, r, VSeries(v_max)))
+    return sorted(differ, key=lambda d: (d[0].height, d[0].values))
 
 
 @lru_cache(maxsize=1024)
@@ -538,7 +449,7 @@ def verify_factorization(
     on the packed series (see the module docstring).  Only a target that
     differs is unpacked, to report its mismatch.
     """
-    _check_keys(q, bound)
+    _check_partition(q, p, bound)
     order = admissible_total_order(q, p)
     if reference is not None:
         if reference.quiver != q:

@@ -471,14 +471,14 @@ FLAGS = {
     "--quiver": dict(help="path to a quiver JSON file"),
     "--format": dict(choices=("text", "jsonl"), default="text"),
     "--cap": dict(type=_int_at_least(1), default=DEFAULT_CAP,
-                  help="enumeration cap (default 10^6)"),
+                  help="enumeration cap (default %(default)s)"),
     "--partition": dict(help="JSON array of vertex-name arrays, or @path to a file "
                              "holding one"),
     "--gamma": dict(help='JSON object, e.g. \'{"1":2,"2":3}\''),
-    "--gamma-bound": dict(help="integer or JSON object (default 2 per vertex); its box "
-                               "of dimension vectors may hold at most --cap of them"),
+    "--gamma-bound": dict(help=f"integer or JSON object (default {DEFAULT_BOUND_ENTRY} per vertex);"
+                               " its box of dimension vectors may hold at most --cap of them"),
     "--q-order": dict(type=_int_at_least(0), default=DEFAULT_Q_ORDER,
-                      help="series truncation in powers of q (default 20); a series of "
+                      help="series truncation in powers of q (default %(default)s); a series of "
                            "2 * q-order + 1 coefficients, plus the headroom of the bound, "
                            "may hold at most --cap of them"),
     "--series": dict(help="JSON array of per-block multiplicity arrays "

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .dynkin import positive_roots
 from .errors import InvalidOrderError
-from .partitions import SubquiverPartition, order_blocks
+from .partitions import SubquiverPartition, _check_partition, order_blocks
 from .quiver import DimVector, Quiver
 
 
@@ -61,6 +61,7 @@ def admissible_total_order(q: Quiver, p: SubquiverPartition) -> RootOrder:
     NotAdmissibleError with a witness if none exists), then each block
     contributes its roots, embedded into the full quiver.
     """
+    _check_partition(q, p)
     ordered = order_blocks(q, p)
     entries: list[RootEntry] = []
     for j in range(ordered.size):
@@ -89,6 +90,7 @@ def validate_order(
     Raises InvalidOrderError, naming what is missing and what is extra,
     when the candidate is not a permutation of expected_root_multiset.
     """
+    _check_partition(q, p)
     entries = tuple(candidate.entries if isinstance(candidate, RootOrder) else candidate)
     expected = expected_root_multiset(q, p)
     got = Counter(entries)

@@ -13,6 +13,11 @@ to be Dynkin because of parallel arrows or an undirected cycle: those
 blocks are collapsed along a spanning tree and every leftover internal
 arrow becomes a self-edge of the contraction, which then witnesses the
 failure.  make_partition always rejects such blocks.
+
+A partition keeps the quiver it was made on.  Every public function, here
+and in ordering, algebra and strata, that takes a quiver and a partition
+raises KeyMismatchError for a partition made on another quiver
+(_check_partition).
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .dynkin import (
 from .errors import (
     EnumerationCapError,
     InvalidInputError,
+    KeyMismatchError,
     NotAdmissibleError,
     NotConnectedError,
     NotDynkinError,
@@ -78,6 +84,14 @@ class AdmissibilityVerdict:
     admissible: bool
     witness: tuple[str, ...] | None
     ordered: bool
+
+
+def _check_partition(q: Quiver, p: SubquiverPartition, *vectors: DimVector) -> None:
+    """Refuse a partition made on another quiver, and vectors keyed by other vertices."""
+    if p.quiver is not q and p.quiver != q:
+        raise KeyMismatchError(f"partition {p} belongs to another quiver")
+    for g in vectors:
+        _check_keys(q, g)
 
 
 def make_partition(q: Quiver, blocks: Sequence[Iterable[str]]) -> SubquiverPartition:
@@ -149,6 +163,7 @@ def check_admissible(
     cycle to witness and is rejected outright.
     """
     if isinstance(partition, SubquiverPartition):
+        _check_partition(q, partition)
         blocks = partition.blocks
     else:
         blocks = check_vertex_partition(q, partition)
@@ -172,6 +187,7 @@ def order_blocks(q: Quiver, p: SubquiverPartition) -> SubquiverPartition:
     Ties keep the current block order.  Raises NotAdmissibleError with a
     cycle witness when no such order exists.
     """
+    _check_partition(q, p)
     perm = _contraction_order(q, p.blocks)
     return SubquiverPartition(
         q,
@@ -275,7 +291,7 @@ def kostant_series(
     The output order is the lexicographic product of the per-block
     enumeration orders.  Raises EnumerationCapError past the cap.
     """
-    _check_keys(q, gamma)
+    _check_partition(q, p, gamma)
     per_block_lists = []
     total = 1
     for j, block in enumerate(p.blocks):

@@ -42,6 +42,11 @@ PackedSum.series unpack it with both checks, then take its norms from the
 digits they kept and its packed half from the product's own value by one
 mask (see _born_packed), so a product multiplied again at its width is
 never packed.
+
+No other module knows the packed format.  A torus product's target (see
+algebra) holds a series, a lone product (a, b, shift, sign) or a PackedSum:
+target_series builds its series, and target_agrees compares it with a
+reference up to a cutoff, packed and masked, at compare_width's width.
 """
 from __future__ import annotations
 
@@ -347,23 +352,14 @@ class PackedSum:
             self.add(s.min_exp + k, n, value, check)
 
     def series(self, v_max: int) -> VSeries:
-        """The sum, unpacked and truncated at v_max; born packed at the sum's
-        width when one parity class is live."""
-        live = list(filter(None, self.classes))
-        runs = []
-        for low, high, value, check in live:
+        """The sum, unpacked and truncated at v_max: each live parity class is
+        born packed at the sum's width (see _born_packed), and two are added."""
+        out = None
+        for low, high, value, check in filter(None, self.classes):
             digits = _unpack(value, (high - low) // 2 + 1, self.width, check)
-            if len(live) == 1:
-                return _born_packed(v_max, low, digits, value, self.width)
-            if low <= v_max:  # digits past v_max are unpacked for the checks, then cut
-                runs.append((low, digits[:(v_max - low) // 2 + 1]))
-        if not runs:
-            return VSeries._canonical(v_max, 0, ())
-        low = min(lo for lo, _ in runs)
-        out = [0] * (max(lo + 2 * len(d) for lo, d in runs) - 1 - low)
-        for lo, digits in runs:
-            out[lo - low:lo - low + 2 * len(digits) - 1:2] = digits
-        return VSeries._canonical(v_max, *_trim(v_max, low, tuple(out)))
+            s = _born_packed(v_max, low, digits, value, self.width)
+            out = s if out is None else out + s
+        return VSeries._canonical(v_max, 0, ()) if out is None else out
 
 
 def product(a: VSeries, b: VSeries, shift: int, sign: int, v_max: int, width: int) -> VSeries:
@@ -405,15 +401,11 @@ def _born_packed(v_max: int, low: int, digits: tuple[int, ...], value: int, widt
     are zero that value is a multiple of 2^(width*s), so shifting it right
     by width * s packs digits[s:e] exactly.
     """
-    end = max(0, min(len(digits), (v_max - low) // 2 + 1))  # digits past v_max are cut
-    start = 0
-    while start < end and not digits[start]:
-        start += 1
-    while end > start and not digits[end - 1]:
-        end -= 1
-    if start == end:
+    # in q-steps the digits are a run from exponent 0, cut at (v_max - low) // 2
+    start, run = _trim((v_max - low) // 2, 0, digits)
+    if not run:
         return VSeries._canonical(v_max, 0, ())
-    run = digits[start:end]
+    end = start + len(run)
     if start or end < len(digits):
         value = (((value + _bias(width, len(digits))) & ((1 << width * end) - 1))
                  - _bias(width, end)) >> width * start
@@ -435,6 +427,77 @@ def convolve_into(acc: PackedSum, a: VSeries, b: VSeries, shift: int, sign: int,
     for ka, pa, na, ca in _packed(a, acc.width):
         for kb, pb, nb, cb in _packed(b, acc.width):
             acc.add(low + ka + kb, na + nb - 1, sign * pa * pb, sign * ca * cb)
+
+
+def target_series(target: VSeries | tuple | PackedSum, v_max: int, width: int) -> VSeries:
+    """The series a target holds: a series as it is, or, cut at v_max, a lone
+    product (a, b, shift, sign) multiplied at 2^width or a PackedSum unpacked,
+    both with the checks of _unpack."""
+    if type(target) is VSeries:
+        return target
+    if type(target) is PackedSum:
+        return target.series(v_max)
+    return product(*target, v_max, width)
+
+
+def compare_width(xs, ys, refs) -> int:
+    """Digit width for comparing sums of products a * b, a from xs and b from
+    ys, with series from refs: product_width(xs, ys), widened to hold the
+    largest Linf of refs, so the digits of both sides fit it."""
+    top = max(((s._memo or _measure(s))[1] for s in refs), default=0)
+    return max(product_width(xs, ys), _digit_width(top))
+
+
+def target_agrees(target: VSeries | tuple | PackedSum, r: VSeries | None, width: int,
+                  v_max: int) -> bool:
+    """Whether target (see target_series) equals r, None for zero, up to
+    v^v_max.  A product or sum is decided on its packed runs at 2^width, with
+    no unpack; width must hold the digits of both (see compare_width).  target
+    is left as it was.
+
+    Per exponent parity, r's run is subtracted from the target's, aligned
+    at the lower first digit (PackedSum.add), and the difference D is masked
+    to the digits up to v_max.  Both runs fit signed W-bit digits, so each
+    digit d_i of D = sum d_i 2^(W*i) has |d_i| < 2^W.  Let k digits lie up to
+    v_max; the mask keeps the low W*k bits of D.  If d_0..d_(k-1) are all
+    zero, D is a multiple of 2^(W*k) and the mask leaves 0.  Otherwise let
+    d_j be the first nonzero one: D = 2^(W*j) * (d_j + 2^W * m) for an
+    integer m, and d_j is not 0 mod 2^W, so the bits of D below
+    W*(j + 1) <= W*k are not all zero.  So the masked difference is zero
+    exactly when the two agree up to v_max.
+
+    A lone product whose operands and r have one parity each skips the
+    PackedSum: each run starts at a nonzero digit, so runs that start at
+    different exponents, of either parity, differ at the lower start and
+    agree up to v_max exactly when both start past it, and runs that start
+    together are subtracted as they stand and masked.
+    """
+    if type(target) is VSeries:
+        return target == r or _trim(v_max, target.min_exp, target.coeffs) == (
+            (0, ()) if r is None else _trim(v_max, r.min_exp, r.coeffs))
+    rs = () if r is None else _packed(r, width)
+    if type(target) is PackedSum:
+        diff = PackedSum(width)
+        diff.classes = target.classes[:]  # add replaces a class, never edits it
+    else:
+        a, b, shift, sign = target
+        low = a.min_exp + b.min_exp + shift
+        xs, ys = _packed(a, width), _packed(b, width)
+        if len(xs) == len(ys) == 1 and len(rs) < 2:
+            value = sign * xs[0][1] * ys[0][1]
+            if rs:
+                if r.min_exp != low:
+                    return min(low, r.min_exp) > v_max
+                value -= rs[0][1]
+            return low > v_max or not value & (1 << width * ((v_max - low) // 2 + 1)) - 1
+        diff = PackedSum(width)
+        convolve_into(diff, a, b, shift, sign, v_max)
+    for k, value, n, check in rs:
+        diff.add(r.min_exp + k, n, -value, -check)
+    for c in diff.classes:
+        if c and c[0] <= v_max and c[2] & (1 << width * ((v_max - c[0]) // 2 + 1)) - 1:
+            return False
+    return True
 
 
 def _divide(s: VSeries, js) -> VSeries:

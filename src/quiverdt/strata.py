@@ -60,10 +60,11 @@ from .partitions import (
     DEFAULT_CAP,
     KostantSeries,
     SubquiverPartition,
+    _check_partition,
     _contraction_order,
     kostant_series,
 )
-from .quiver import DimVector, Quiver, _check_keys
+from .quiver import DimVector, Quiver
 from .series import VSeries, poincare_series, times_poincare
 
 
@@ -151,7 +152,8 @@ def _stratum_form(
     Heads first, the simple-root monomial of total is
     (-1)^(|total| - 1) * v^(-sum over arrows t -> h of total[t] * total[h]).
     """
-    if {frozenset(b) for b in p.blocks} != {frozenset(b) for b in m.partition.blocks}:
+    if m.partition is not p and ({frozenset(b) for b in p.blocks}
+                                 != {frozenset(b) for b in m.partition.blocks}):
         raise KeyMismatchError("Kostant series built on a different partition")
     factors = []
     for j in _contraction_order(q, m.partition.blocks):
@@ -179,6 +181,7 @@ def monomial_normal_form(
     breaks this (or is no root of m's blocks), and NotAdmissibleError when
     the partition admits no block arrangement.
     """
+    _check_partition(q, p)
     embedded = [[r.embed(q.vertices) for r in kp.root_set.roots] for kp in m.per_block]
     # block supports are disjoint, so an embedded root's values name its block
     where = {r.values: (j, i) for j, roots in enumerate(embedded) for i, r in enumerate(roots)}
@@ -224,7 +227,7 @@ def codim_of_stratum(
     each block read in its inner order; any other's is the sum over
     blocks, the same number where both exist.
     """
-    _check_keys(q, gamma)
+    _check_partition(q, p, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
     blocks = tuple(kp.orbit_codim() for kp in m.per_block)
@@ -263,7 +266,7 @@ def betti_identity_check(
     one-shorter prefix by one times_poincare division, so every prefix is
     built once per call, the left side's included.
     """
-    _check_keys(q, gamma)
+    _check_partition(q, p, gamma)
     terms = [
         BettiTerm(m, sum(kp.orbit_codim() for kp in m.per_block),
                   tuple(sorted(filter(None, m.multiplicities()))), _lists(m))
@@ -301,6 +304,7 @@ def series_from_inner_lists(
     Each list is indexed by the block's inner root order, the notation
     used in reports; internally multiplicities align with library order.
     """
+    _check_partition(q, p)
     if len(lists) != p.size:
         raise InvalidInputError(f"expected {p.size} block lists, got {len(lists)}")
     per = []
@@ -340,7 +344,7 @@ def stratum_orbit_decomposition(
     the matching full orbits.  Raises NotTypeAError for any other quiver,
     a disconnected one included.
     """
-    _check_keys(q, gamma)
+    _check_partition(q, p, gamma)
     if m.gamma() != gamma:
         raise InvalidInputError(f"series sums to {m.gamma()}, not {gamma}")
     try:

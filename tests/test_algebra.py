@@ -6,7 +6,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from quiverdt import (
@@ -240,9 +240,9 @@ def test_dilog_products_obey_the_parity_rule(quiver_dir, monkeypatch):
         lone.append((_parities(a), _parities(b)))
         return product(a, b, *rest)
 
-    convolve, product = algebra_mod.convolve_into, algebra_mod.product
+    convolve, product = algebra_mod.convolve_into, series_mod.product
     monkeypatch.setattr(algebra_mod, "convolve_into", single_parity_convolve)
-    monkeypatch.setattr(algebra_mod, "product", single_parity_product)
+    monkeypatch.setattr(series_mod, "product", single_parity_product)
     for path in sorted(quiver_dir.glob("*.json")):
         q = parse_quiver(path.read_text())
         bound = bound_of(q, 2)
@@ -748,8 +748,8 @@ def test_join_of_disjoint_blocks_multiplies_once_per_target(a4, monkeypatch):
     x, y = (algebra_mod._chain(a4, [e.root for e in order.entries if e.block == j], bound, V_MAX)
             for j in range(2))
     products, sums = [], []
-    real_product, real_init = algebra_mod.product, series_mod.PackedSum.__init__
-    monkeypatch.setattr(algebra_mod, "product",
+    real_product, real_init = series_mod.product, series_mod.PackedSum.__init__
+    monkeypatch.setattr(series_mod, "product",
                         lambda a, b, *rest: products.append((a, b)) or real_product(a, b, *rest))
     monkeypatch.setattr(series_mod.PackedSum, "__init__",
                         lambda acc, width: sums.append(acc) or real_init(acc, width))
@@ -848,12 +848,12 @@ def test_verify_reports_perturbed_references_as_the_materialized_compare(a3):
 def test_one_and_multi_block_partitions_end_in_the_packed_compare(a3, monkeypatch):
     """verify_factorization makes one multiplication fewer than
     factorization_product; its last one goes to the packed compare, which
-    sees lone products and packed sums."""
+    sees series handed through, lone products and packed sums."""
     calls, seen = [], []
-    real_multiply, real_agree = algebra_mod.qt_multiply, algebra_mod._agree
+    real_multiply, real_agree = algebra_mod.qt_multiply, series_mod.target_agrees
     monkeypatch.setattr(algebra_mod, "qt_multiply",
                         lambda x, y: calls.append(1) or real_multiply(x, y))
-    monkeypatch.setattr(algebra_mod, "_agree",
+    monkeypatch.setattr(algebra_mod, "target_agrees",
                         lambda held, *rest: seen.append(type(held)) or real_agree(held, *rest))
     bound = bound_of(a3, 2)
     ref = trivial_dt(a3, bound, V_MAX)
@@ -867,7 +867,7 @@ def test_one_and_multi_block_partitions_end_in_the_packed_compare(a3, monkeypatc
         assert verify_factorization(a3, p, bound, V_MAX, reference=ref).passed
         assert len(calls) == full - 1 and seen
         kinds |= set(seen)
-    assert kinds == {tuple, series_mod.PackedSum}
+    assert kinds == {VSeries, tuple, series_mod.PackedSum}
 
 
 def test_verify_factorization_forced_width_overflow_raises(kronecker, monkeypatch):
@@ -881,7 +881,6 @@ def test_verify_factorization_forced_width_overflow_raises(kronecker, monkeypatc
     real = algebra_mod._mismatches
     monkeypatch.setattr(algebra_mod, "_mismatches", lambda *a: entered.append(1) or real(*a))
     monkeypatch.setattr(series_mod, "_digit_width", lambda bound: 8)
-    monkeypatch.setattr(algebra_mod, "_digit_width", lambda bound: 8)
     with pytest.raises(InconsistencyError):
         verify_factorization(kronecker, p, bound, V_MAX, reference=ref)
     assert entered
@@ -926,32 +925,35 @@ def test_matching_verdict_unpacks_nothing_in_its_last_multiplication(quiver_dir,
 def test_packed_compare_matches_the_built_product(a3, rng, monkeypatch):
     """On random elements with mixed parities and wide coefficients, the last
     multiplication's compare reports what comparing with the built product
-    does, and unpacks nothing when the reference is that product.  One target
-    sums runs that cancel at their low end, so its runs and the reference's
-    start at different exponents."""
+    does, and unpacks nothing when the reference is that product, on the
+    array and the byte-sliced paths.  One target sums runs that cancel at
+    their low end, so its runs and the reference's start at different
+    exponents."""
     unpacked = []
     real = series_mod._unpack
     monkeypatch.setattr(series_mod, "_unpack", lambda *a: unpacked.append(a) or real(*a))
     bound = bound_of(a3, 2)
     work = working_v_max(a3, bound, V_MAX)
     e1 = a3.unit("1")
-    q_step = VSeries.from_terms(work, {0: 1, 2: 1})
-    pairs = [(monomial(a3, a3.zero(), 2, bound, V_MAX) + monomial(a3, e1, -2, bound, V_MAX),
-              identity(a3, bound, V_MAX) + monomial(a3, e1, q_step, bound, V_MAX))]
-    pairs += [(random_element(rng, a3, bound, work), random_element(rng, a3, bound, work))
-              for _ in range(12)]
-    for x, y in pairs:
-        product = qt_multiply(x, y)
-        del unpacked[:]
-        assert algebra_mod._mismatches(x, y, product, V_MAX) == []
-        assert not unpacked
-        for _ in range(6):
-            g = rng.choice(all_gammas(a3, bound))
-            ref = bump(product, g, rng.randint(-4, work), rng.choice((1, -5, 2**90)))
-            assert algebra_mod._mismatches(x, y, ref, V_MAX) == oracles.coefficient_mismatches(
-                ref, product)
-    # 2 * (1 + q) - 2 at y_e1: the packed sum starts at v^0, the series at v^2
-    assert qt_multiply(*pairs[0]).terms[e1] == VSeries.monomial(work, 2, 2)
+    for codes in (series_mod._WORD_CODES, {}):
+        monkeypatch.setattr(series_mod, "_WORD_CODES", codes)
+        q_step = VSeries.from_terms(work, {0: 1, 2: 1})
+        pairs = [(monomial(a3, a3.zero(), 2, bound, V_MAX) + monomial(a3, e1, -2, bound, V_MAX),
+                  identity(a3, bound, V_MAX) + monomial(a3, e1, q_step, bound, V_MAX))]
+        pairs += [(random_element(rng, a3, bound, work), random_element(rng, a3, bound, work))
+                  for _ in range(12)]
+        for x, y in pairs:
+            product = qt_multiply(x, y)
+            del unpacked[:]
+            assert algebra_mod._mismatches(x, y, product, V_MAX) == []
+            assert not unpacked
+            for _ in range(6):
+                g = rng.choice(all_gammas(a3, bound))
+                ref = bump(product, g, rng.randint(-4, work), rng.choice((1, -5, 2**90)))
+                assert algebra_mod._mismatches(x, y, ref, V_MAX) == (
+                    oracles.coefficient_mismatches(ref, product))
+        # 2 * (1 + q) - 2 at y_e1: the packed sum starts at v^0, the series at v^2
+        assert qt_multiply(*pairs[0]).terms[e1] == VSeries.monomial(work, 2, 2)
 
 
 q_runs = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40),
@@ -980,9 +982,10 @@ q_runs = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40),
 def test_lone_product_compare_is_unpack_and_compare(path, a, b, ea, eb, shift, sign, kind, er,
                                                     run, bump, v_max, width):
     """For a lone product of two one-parity series and a reference of at most
-    one parity (or none), _agree takes its one-run path and answers what
-    unpacking the product and comparing up to v_max answers: references of
-    the other parity, cut before the first digit, or equal but for one digit."""
+    one parity (or none), series.target_agrees takes its one-run path, with
+    no PackedSum, and answers what unpacking the product and comparing up to
+    v_max answers: references of the other parity, cut before the first
+    digit, or equal but for one digit."""
     work = 40
     sa, sb = oracles.q_series(work, ea, a), oracles.q_series(work, eb, b)
     if not (sa and sb):  # a pair loop holds no zero series
@@ -994,12 +997,65 @@ def test_lone_product_compare_is_unpack_and_compare(path, a, b, ea, eb, shift, s
         r = None
     top = 0 if r is None else max(map(abs, r.coeffs))
     width = max(width, series_mod.product_width([sa], [sb]), series_mod._digit_width(top))
-    want = algebra_mod._cut(built, v_max) == algebra_mod._cut(r, v_max)
-    lone = []
+    want = (oracles.series_from_pairs(v_max, built.to_pairs())
+            == oracles.series_from_pairs(v_max, [] if r is None else r.to_pairs()))
+    sums = []
     with pytest.MonkeyPatch.context() as mp:
         if path == "bytes":
             mp.setattr(series_mod, "_WORD_CODES", {})
-        real = algebra_mod._agree_lone
-        mp.setattr(algebra_mod, "_agree_lone", lambda *args: lone.append(1) or real(*args))
-        assert algebra_mod._agree((sa, sb, shift, sign), r, width, v_max) == want
-    assert lone == [1] or len(series_mod._packed(r, width)) == 2
+        real = series_mod.PackedSum.__init__
+        mp.setattr(series_mod.PackedSum, "__init__",
+                   lambda acc, w: sums.append(1) or real(acc, w))
+        assert series_mod.target_agrees((sa, sb, shift, sign), r, width, v_max) == want
+    assert not sums or len(series_mod._packed(r, width)) == 2
+
+
+@pytest.mark.parametrize("path", ["array", "bytes"])
+@given(parts=st.lists(st.tuples(q_runs, q_runs, st.integers(-6, 6), st.integers(-6, 6),
+                                st.integers(-6, 6), st.sampled_from((1, -1)), st.booleans()),
+                      min_size=1, max_size=3),
+       kind=st.sampled_from(["none", "product", "bumped", "random"]), er=st.integers(-12, 12),
+       run=q_runs, bump=st.sampled_from((1, -3, 2**70)), v_max=st.integers(-20, 24),
+       width=st.sampled_from(range(8, 201, 8)))
+@settings(max_examples=150)
+def test_packed_sum_compare_is_unpack_and_compare(path, parts, kind, er, run, bump, v_max, width):
+    """A PackedSum of products, each with an operand of mixed parity when its
+    flag is set, and the first product alone as a lone target: series.target_agrees
+    answers what unpacking the target and comparing up to v_max answers, and
+    leaves the target as it was, since a target that differs is unpacked after."""
+    work = 40
+    products = []
+    for ra, rb, ea, eb, shift, sign, mixed in parts:
+        a = oracles.q_series(work, ea, ra) + (oracles.q_series(work, ea + 1, rb) if mixed
+                                              else VSeries.zero(work))
+        b = oracles.q_series(work, eb, rb)
+        if a and b:  # a pair loop holds no zero series
+            products.append((a, b, shift, sign))
+    assume(products)
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "bytes":
+            mp.setattr(series_mod, "_WORD_CODES", {})
+        for summed in (products, products[:1]):
+            terms: dict[int, int] = {}
+            for a, b, shift, sign in summed:
+                oracles.dict_convolve_into(terms, a, b, shift, sign, work)
+            built = VSeries.from_terms(work, terms)
+            r = {"none": None, "product": built, "random": oracles.q_series(work, er, run),
+                 "bumped": built + VSeries.monomial(work, bump, er)}[kind]
+            if r is not None and not r:
+                r = None
+            w = max(width, series_mod.compare_width([a for a, *_ in summed], [b for _, b, *_ in summed],
+                                                    [] if r is None else [r]))
+            if summed is products:
+                target = series_mod.PackedSum(w)
+                for a, b, shift, sign in summed:
+                    series_mod.convolve_into(target, a, b, shift, sign, work)
+                held = [c and list(c) for c in target.classes]
+            else:
+                target = summed[0]
+            want = (oracles.series_from_pairs(v_max, built.to_pairs())
+                    == oracles.series_from_pairs(v_max, [] if r is None else r.to_pairs()))
+            assert series_mod.target_agrees(target, r, w, v_max) == want
+            assert series_mod.target_series(target, work, w) == built
+            if summed is products:
+                assert target.classes == held

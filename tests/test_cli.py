@@ -291,6 +291,17 @@ def test_help_exits_0(capsys):
     assert "factorize" in out
 
 
+def test_help_shows_the_defaults_the_flags_take(capsys):
+    """The help text of --cap, --gamma-bound and --q-order is built from the
+    constants the commands use."""
+    code, out, _ = run(capsys, "factorize", "--help")
+    text = " ".join(out.split())  # argparse wraps lines
+    assert code == 0
+    assert f"enumeration cap (default {cli.DEFAULT_CAP})" in text
+    assert f"(default {cli.DEFAULT_BOUND_ENTRY} per vertex)" in text
+    assert f"powers of q (default {cli.DEFAULT_Q_ORDER})" in text
+
+
 def test_no_command_exits_2(capsys):
     code, _, err = run(capsys)
     assert code == 2

@@ -9,15 +9,25 @@ import pytest
 import oracles
 from quiverdt import (
     DynkinType,
+    KeyMismatchError,
     NotAdmissibleError,
     NotConnectedError,
     NotDynkinError,
+    admissible_total_order,
+    betti_identity_check,
     check_admissible,
+    codim_of_stratum,
     enumerate_partitions,
     induced_subquiver,
+    inner_lists,
     kostant_series,
     make_partition,
+    monomial_normal_form,
     order_blocks,
+    series_from_inner_lists,
+    stratum_orbit_decomposition,
+    validate_order,
+    verify_factorization,
 )
 
 
@@ -379,3 +389,39 @@ def test_enumerate_partitions_rejects_the_empty_quiver():
 
     with pytest.raises(InvalidInputError, match="empty quiver"):
         enumerate_partitions(oracles.build_quiver([], []))
+
+
+def _another_quivers_partition(a3):
+    """q2 on a3's vertices, with arrows 3→1 and 2→3, where [1,3][2] is a partition;
+    on a3 the block {1,3} is not connected."""
+    q2 = oracles.build_quiver(["1", "2", "3"], [("c", "3", "1"), ("d", "2", "3")])
+    p2 = make_partition(q2, [["1", "3"], ["2"]])
+    gamma = q2.vector([1, 1, 1])
+    return q2, p2, gamma, kostant_series(q2, p2, gamma)[0], admissible_total_order(q2, p2)
+
+
+ENTRY_POINTS = {
+    "check_admissible": lambda q, p, g, m, order: check_admissible(q, p),
+    "order_blocks": lambda q, p, g, m, order: order_blocks(q, p),
+    "kostant_series": lambda q, p, g, m, order: kostant_series(q, p, g),
+    "validate_order": lambda q, p, g, m, order: validate_order(q, p, order),
+    "admissible_total_order": lambda q, p, g, m, order: admissible_total_order(q, p),
+    "verify_factorization": lambda q, p, g, m, order: verify_factorization(q, p, g, 10),
+    "codim_of_stratum": lambda q, p, g, m, order: codim_of_stratum(q, p, m, g),
+    "betti_identity_check": lambda q, p, g, m, order: betti_identity_check(q, p, g, 10),
+    "monomial_normal_form": lambda q, p, g, m, order: monomial_normal_form(q, p, order, m),
+    "series_from_inner_lists": lambda q, p, g, m, order: series_from_inner_lists(q, p, inner_lists(m)),
+    "stratum_orbit_decomposition":
+        lambda q, p, g, m, order: stratum_orbit_decomposition(q, p, m, g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_partition_of_another_quiver_is_refused(entry, a3):
+    """Every public function that takes a quiver and a partition refuses a
+    partition made on another quiver on the same vertices, where it would
+    otherwise answer for blocks that a3 cannot have."""
+    q2, p2, gamma, m, order = _another_quivers_partition(a3)
+    with pytest.raises(KeyMismatchError, match="another quiver"):
+        ENTRY_POINTS[entry](a3, p2, gamma, m, order)
+    ENTRY_POINTS[entry](q2, p2, gamma, m, order)  # its own quiver takes it
