@@ -13,20 +13,29 @@ writes its terms down from this power rule, and they form a finite sum
 under a support bound.
 
 Because the skew form can be negative, a product can lower series
-exponents, so elements internally carry coefficients up to a working
-cutoff v_max + H, H = sum(bound[tail] * bound[head]) over arrows.  Take
-one monomial of a product, a factor y_(a_i) from each element, whose sum
-stays within the bound.  The skew forms of any subset of its factor pairs
-sum to at least -H: each pair adds at least -sum a_i[head] * a_j[tail],
-and over all pairs those terms sum to at most sum_arrows (sum_i
-a_i[head]) (sum_j a_j[tail]) <= H.  At any node of any bracketing the
-monomial's exponent is the final one minus the series exponents of the
-factors outside the node (all >= 0 in a dilogarithm) and minus the skew
-forms of the pairs not inside it, so at most the final exponent + H.  A
-digit dropped past the working cutoff at any node therefore lands past
-v_max in the final product, and a monomial that leaves the bound at a
-node leaves it in the product too.  So every coefficient read back
-through coefficient() is exact however a product was parenthesized, and
+exponents, so elements carry coefficients past v_max.  The series at
+y_gamma is kept up to its own cutoff cut(gamma) = v_max + H(gamma),
+H(gamma) = sum(bound[tail] * bound[head] - gamma[tail] * gamma[head]) over
+arrows: the headroom that the factors still to come at y_gamma, which
+fill at most bound - gamma, can lower its exponents by.  H(0) is the
+largest, and working_v_max is cut(0); at gamma = bound the headroom is 0.
+Take one monomial of a product, a factor y_(a_i) from each element, whose
+sum stays within the bound, and a node of the bracketing whose factors sum
+to gamma.  The monomial's exponent at the node is the final one minus the
+series exponents of the factors outside the node (all >= 0 in a
+dilogarithm) and minus the skew forms of the pairs not inside it; each
+such pair involves a factor outside the node.  Let the outside factors sum
+to c <= bound - gamma.  A pair adds at least -sum a_i[head] * a_j[tail],
+and over the pairs not inside the node those terms sum to at most
+sum_arrows ((gamma + c)[tail] (gamma + c)[head] - gamma[tail] gamma[head])
+<= H(gamma).  So the exponent at the node is at most the final one +
+H(gamma): a digit dropped past cut(gamma) lands past v_max in the final
+product, and a monomial that leaves the bound at a node leaves it in the
+product too.  The same count inside the node, from a child node at alpha
+up to gamma, bounds the drop by H(alpha) - H(gamma), so a monomial kept at
+gamma is kept at alpha: by induction over the bracketing every stored
+digit up to its own cut is exact.  So every coefficient read back through
+coefficient() is exact however a product was parenthesized, and
 factorization_product may multiply each block out on its own.
 
 Every series of a dilogarithm product obeys a parity rule: the
@@ -57,8 +66,9 @@ it stands.  Dimension vectors are packed into a mixed-radix box index
 with one guard bit above each coordinate's digit, so a pair's sum leaves
 the box exactly when (index_x + index_y + offset) & guard is nonzero (see
 _box_index); such pairs are dropped before any series work.  The
-DimVector of each decoded target index is built once per vertex tuple and
-bound, in a table _box_index keeps.  Each y term's skew row is built once
+DimVector of each decoded target index and its drop sum(gamma[tail] *
+gamma[head]) below working_v_max are worked out once per quiver and bound,
+in a table _box_index keeps.  Each y term's skew row is built once
 per call, so a pair's skew form is one dot product.
 
 verify_factorization multiplies every factor but the last one as
@@ -105,19 +115,26 @@ from .series import (PackedSum, VSeries, compare_width, convolve_into, poincare_
 
 
 def working_v_max(q: Quiver, bound: DimVector, v_max: int) -> int:
-    """Internal series cutoff: v_max plus the worst possible downward shift."""
-    b = bound.values
-    return v_max + sum(b[t] * b[h] for t, h in q._arrow_pairs)
+    """Internal series cutoff at y_0, the largest one: v_max plus the worst
+    possible downward shift."""
+    return v_max + _drop(q, bound.values)
+
+
+def _drop(q: Quiver, values: tuple[int, ...]) -> int:
+    """How far the cutoff at y_gamma lies below working_v_max: sum(gamma[tail]
+    * gamma[head]) over arrows (see the module docstring)."""
+    return sum(values[t] * values[h] for t, h in q._arrow_pairs)
 
 
 @dataclass(frozen=True)
 class QuantumElement:
     """A finite sum of series coefficients times basis elements y_gamma.
 
-    terms maps dimension vectors within the bound to nonzero series kept
-    at the working cutoff; coefficient() truncates them back to v_max,
-    the element's public precision.  The map is never mutated after
-    construction.
+    terms maps dimension vectors gamma within the bound to nonzero series,
+    each kept at its own cutoff working_v_max - sum(gamma[tail] *
+    gamma[head]) over arrows (see the module docstring); coefficient()
+    truncates them back to v_max, the element's public precision.  The map
+    is never mutated after construction.
     """
 
     quiver: Quiver
@@ -177,28 +194,31 @@ def monomial(
     """The element coeff * y_gamma.
 
     The coefficient is taken as an exact Laurent polynomial; it may be
-    given at any truncation order up to the working cutoff.
+    given at any truncation order up to the working cutoff, and it is kept
+    up to gamma's own cutoff.
     """
     _check_keys(q, gamma)
     _check_keys(q, bound)
     work = working_v_max(q, bound, v_max)
-    if isinstance(coeff, int):
-        coeff = VSeries.monomial(work, coeff, 0)
-    elif coeff.v_max > work:
+    if not isinstance(coeff, int) and coeff.v_max > work:
         raise TruncationMismatchError(
             f"coefficient truncated at {coeff.v_max}, working cutoff is {work}"
         )
-    else:
-        coeff = VSeries(work, coeff.min_exp, coeff.coeffs)
     if not gamma <= bound:
         raise BoundExceededError(f"{gamma} exceeds the support bound {bound}")
+    cut = work - _drop(q, gamma.values)
+    if isinstance(coeff, int):
+        coeff = VSeries.monomial(cut, coeff, 0)
+    else:
+        coeff = VSeries(cut, coeff.min_exp, coeff.coeffs)
     return _element(q, bound, v_max, {gamma: coeff})
 
 
 @lru_cache(maxsize=64)
-def _box_index(vertices: tuple[str, ...], bound: tuple[int, ...]) -> tuple:
+def _box_index(vertices: tuple[str, ...], bound: tuple[int, ...], arrows: tuple) -> tuple:
     """Digit places of the mixed-radix box index, its offset and guard masks,
-    and the table from index to DimVector that decoded targets fill.
+    and the table from index to (DimVector, _drop) that decoded targets fill;
+    arrows, the quiver's arrow pairs, key the drops.
 
     Coordinate i takes k + 1 bits at its place, k = bound[i].bit_length();
     the offset fills digit i up to 2^k - 1 when it holds bound[i], so the
@@ -222,28 +242,29 @@ def qt_multiply(x: QuantumElement, y: QuantumElement) -> QuantumElement:
     whose dimension vector leaves the bound is dropped.
     """
     x._check(y)
-    work = working_v_max(x.quiver, x.bound, x.v_max)
     width = product_width(x.terms.values(), y.terms.values())
     out = {}
-    for g, held in _contributions(x, y, width):
-        s = target_series(held, work, width)
+    for g, held, cut in _contributions(x, y, width):
+        s = target_series(held, cut, width)
         if s.coeffs:  # products that cancel leave no term
             out[g] = s
     return QuantumElement(x.quiver, x.bound, x.v_max, out)
 
 
 def _contributions(x: QuantumElement, y: QuantumElement, width: int) -> list:
-    """The pair loop of x * y: (gamma, what reached y_gamma) for every target
-    within the bound that a term pair reaches.
+    """The pair loop of x * y: (gamma, what reached y_gamma, gamma's cutoff)
+    for every target within the bound that a term pair reaches.
 
     What reached a target is the series a unit y_0 term hands through, a
     lone product (a, b, shift, sign), or the PackedSum at 2^width of two or
     more contributions.  width must hold every digit (see product_width).
+    A PackedSum skips only products that lie wholly past working_v_max; the
+    rest past the target's cutoff is cut when it is unpacked.
     """
     q = x.quiver
     bound = x.bound.values
     work = working_v_max(q, x.bound, x.v_max)
-    places, off, guard, keys = _box_index(q.vertices, bound)
+    places, off, guard, keys = _box_index(q.vertices, bound, q._arrow_pairs)
     one = VSeries.one(work)
 
     def terms(el: QuantumElement) -> list:
@@ -288,14 +309,14 @@ def _contributions(x: QuantumElement, y: QuantumElement, width: int) -> list:
             _add_term(target, term, work)
     out = []
     for t, held in acc.items():
-        if type(held) is tuple and len(held) == 2:  # keeps the operand's key
-            out.append(held)
+        if type(held) is tuple and len(held) == 2:  # keeps the operand's key and cutoff
+            out.append((*held, held[1].v_max))
             continue
-        g = keys.get(t)
-        if g is None:
+        key = keys.get(t)
+        if key is None:
             values = tuple(t >> at & (1 << b.bit_length()) - 1 for at, b in zip(places, bound))
-            g = keys[t] = DimVector(q.vertices, values)
-        out.append((g, held))
+            key = keys[t] = (DimVector(q.vertices, values), _drop(q, values))
+        out.append((key[0], held, work - key[1]))
     return out
 
 
@@ -316,17 +337,16 @@ def _mismatches(x: QuantumElement, y: QuantumElement, reference: QuantumElement,
     by series.target_agrees, and only a target that differs is unpacked.
     """
     ref = reference.terms
-    work = working_v_max(x.quiver, x.bound, v_max)
     width = compare_width(x.terms.values(), y.terms.values(), ref.values())
     targets = _contributions(x, y, width)
     differ, reached = [], 0
-    for g, held in targets:
+    for g, held, cut in targets:
         r = ref.get(g)
         reached += r is not None
         if not target_agrees(held, r, width, v_max):
-            differ.append((g, _cut(r, v_max), _cut(target_series(held, work, width), v_max)))
+            differ.append((g, _cut(r, v_max), _cut(target_series(held, cut, width), v_max)))
     if reached < len(ref):  # the product is zero at a gamma it never reaches
-        for g in ref.keys() - {g for g, _ in targets}:
+        for g in ref.keys() - {g for g, _, _ in targets}:
             r = _cut(ref[g], v_max)
             if r:
                 differ.append((g, r, VSeries(v_max)))
@@ -338,8 +358,9 @@ def dilog(q: Quiver, gamma: DimVector, bound: DimVector, v_max: int) -> QuantumE
     """Quantum dilogarithm of y_gamma: sum over k of (-y_gamma)^k q^(k^2/2) P_k.
 
     By the power rule y_gamma^k = (-1)^(k-1) y_(k*gamma) the k-th term is
-    -v^(k^2) P_k y_(k*gamma), written down directly; the sum terminates
-    once k * gamma leaves the bound, so the result is a finite exact element.
+    -v^(k^2) P_k y_(k*gamma), written down directly at k * gamma's cutoff;
+    the sum terminates once k * gamma leaves the bound, so the result is a
+    finite exact element.
     Equal arguments get the same element, whose series keep their memos
     (see series) from one product chain to the next.
     """
@@ -351,7 +372,8 @@ def dilog(q: Quiver, gamma: DimVector, bound: DimVector, v_max: int) -> QuantumE
     terms = {q.zero(): VSeries.one(work)}
     k = 1
     while k * gamma <= bound:
-        terms[k * gamma] = -poincare_series(k, work).shift(k * k)
+        kg = k * gamma
+        terms[kg] = -poincare_series(k, work - _drop(q, kg.values)).shift(k * k)
         k += 1
     return _element(q, bound, v_max, terms)
 

@@ -40,7 +40,6 @@ from .quiver import (
     topological_vertex_order,
     underlying_components,
 )
-from .series import VSeries
 from .strata import (
     betti_identity_check,
     codim_of_stratum,
@@ -315,11 +314,13 @@ def cmd_dt(args: argparse.Namespace, rep: Reporter) -> int:
     with _argument("--quiver", CyclicQuiverError):
         el = trivial_dt(q, bound, v_max)
     rep.text(f"combinatorial DT invariant, support bound {bound}, q-order {args.q_order}")
-    for g in el.support():
-        rep.text(f"y{g}: {el.coefficient(g)}")
-        rep.row(type="dt-term", gamma=g.as_dict(), series=el.coefficient(g).to_pairs())
-    rep.summary("OK", f"{len(el.terms)} terms within bound {bound}",
-                terms=len(el.terms), bound=bound.as_dict(), q_order=args.q_order)
+    # a series past v_max may be nonzero only in its headroom: not a term at this q-order
+    terms = [(g, c) for g in el.support() if (c := el.coefficient(g))]
+    for g, c in terms:
+        rep.text(f"y{g}: {c}")
+        rep.row(type="dt-term", gamma=g.as_dict(), series=c.to_pairs())
+    rep.summary("OK", f"{len(terms)} terms within bound {bound}",
+                terms=len(terms), bound=bound.as_dict(), q_order=args.q_order)
     return 0
 
 

@@ -17,6 +17,7 @@ from quiverdt import (
     InvalidInputError,
     KostantSeries,
     OrderVerdict,
+    QuantumElement,
     Quiver,
     VSeries,
     admissible_total_order,
@@ -108,17 +109,24 @@ TIGHT_WIDTH_OPERANDS = {
 }
 
 
-def dense_qt_multiply(x, y) -> dict[tuple[int, ...], VSeries]:
-    """The quantum torus product x * y as {gamma values: series at the working cutoff}.
+def dense_qt_multiply(x, y, at_work: bool = False) -> dict[tuple[int, ...], VSeries]:
+    """The quantum torus product x * y as {gamma values: series at gamma's cutoff}.
 
     Term pairs are convolved coefficient by coefficient into dicts, with the
-    skew form read off the arrow list; only nonzero series are kept.
+    skew form read off the arrow list.  The series at gamma is cut at the
+    working cutoff v_max + sum(bound[t] * bound[h]) minus sum(gamma[t] *
+    gamma[h]), over arrows t -> h; with at_work it is cut at the working
+    cutoff itself.  Only nonzero series are kept.
     """
     q = x.quiver
     b = x.bound.values
     index = {v: i for i, v in enumerate(q.vertices)}
     arrows = [(index[a.tail], index[a.head]) for a in q.arrows]
     work = x.v_max + sum(b[t] * b[h] for t, h in arrows)
+
+    def cut(g):
+        return work if at_work else work - sum(g[t] * g[h] for t, h in arrows)
+
     acc: dict[tuple[int, ...], dict[int, int]] = {}
     for g1, c1 in x.terms.items():
         for g2, c2 in y.terms.items():
@@ -130,9 +138,37 @@ def dense_qt_multiply(x, y) -> dict[tuple[int, ...], VSeries]:
                 shift, sign = 0, 1
             else:
                 shift, sign = sum(u[t] * w[h] - u[h] * w[t] for t, h in arrows), -1
-            dict_convolve_into(acc.setdefault(total, {}), c1, c2, shift, sign, work)
-    out = {g: VSeries.from_terms(work, coeffs) for g, coeffs in acc.items()}
+            dict_convolve_into(acc.setdefault(total, {}), c1, c2, shift, sign, cut(total))
+    out = {g: VSeries.from_terms(cut(g), coeffs) for g, coeffs in acc.items()}
     return {g: s for g, s in out.items() if not s.is_zero}
+
+
+def _work(q, bound, v_max) -> int:
+    """v_max plus sum(bound[t] * bound[h]) over arrows t -> h: the cutoff at y_0."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    b = bound.values
+    return v_max + sum(b[index[a.tail]] * b[index[a.head]] for a in q.arrows)
+
+
+def dense_dilog(q, gamma, bound, v_max) -> QuantumElement:
+    """The dilogarithm of y_gamma with every series at the working cutoff: 1 at
+    y_0 and -v^(k^2) P_k at y_(k*gamma), the q^n coefficient of P_k counted
+    by brute_partition_count."""
+    work = _work(q, bound, v_max)
+    terms = {q.zero(): VSeries.one(work)}
+    k = 1
+    while all(k * g <= b for g, b in zip(gamma.values, bound.values)):
+        p_k = {k * k + 2 * n: -brute_partition_count(n, k) for n in range((work - k * k) // 2 + 1)}
+        terms[q.vector([k * g for g in gamma.values])] = VSeries.from_terms(work, p_k)
+        k += 1
+    return QuantumElement(q, bound, v_max, {g: s for g, s in terms.items() if s})
+
+
+def dense_times(x, y) -> QuantumElement:
+    """x * y by dense_qt_multiply with every series at the working cutoff."""
+    q = x.quiver
+    terms = dense_qt_multiply(x, y, at_work=True)
+    return QuantumElement(q, x.bound, x.v_max, {q.vector(list(g)): s for g, s in terms.items()})
 
 
 def coefficient_mismatches(lhs, rhs) -> list:

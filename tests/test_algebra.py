@@ -75,6 +75,17 @@ def test_qt_multiply_matches_dense_reference(name, request, rng):
         assert {g.values: s for g, s in got.terms.items()} == oracles.dense_qt_multiply(x, y)
 
 
+def test_quivers_on_one_vertex_tuple_keep_their_own_cutoffs(a3, a3_sink_mid, atilde2, rng):
+    """Quivers with the same vertices and bound share one box table, and each
+    product still cuts every target at its own quiver's cutoff."""
+    for _ in range(4):
+        for q in (atilde2, a3, a3_sink_mid):
+            bound = bound_of(q, 2)
+            work = working_v_max(q, bound, V_MAX)
+            x, y = random_element(rng, q, bound, work), random_element(rng, q, bound, work)
+            assert as_values(qt_multiply(x, y)) == oracles.dense_qt_multiply(x, y)
+
+
 @pytest.mark.parametrize("name", ["a3", "d4"])
 def test_qt_multiply_of_dilogs_matches_dense_reference(name, request):
     q = request.getfixturevalue(name)
@@ -85,6 +96,39 @@ def test_qt_multiply_of_dilogs_matches_dense_reference(name, request):
         want = oracles.dense_qt_multiply(x, y)
         x = qt_multiply(x, y)
         assert {g.values: s for g, s in x.terms.items()} == want
+
+
+def _bracketed(rng, factors, times):
+    """The product of factors in their order, under a random bracketing."""
+    if len(factors) == 1:
+        return factors[0]
+    k = rng.randint(1, len(factors) - 1)
+    return times(_bracketed(rng, factors[:k], times), _bracketed(rng, factors[k:], times))
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "atilde2", "kronecker"])
+def test_per_target_cutoffs_read_as_the_global_cutoff(name, request, rng):
+    """Dilogarithm products kept at each target's own cutoff give every
+    coefficient up to v_max that the dense oracle gives with every series at
+    the working cutoff, along random orders of real roots (no pairing rule
+    checked) under random bracketings."""
+    q = request.getfixturevalue(name)
+    for entry in (1, 2, 3):
+        bound = bound_of(q, entry)
+        gammas = all_gammas(q, bound)
+        roots = [g for g in gammas if euler_form(q, g, g) == 1]
+        for q_order in range(4):
+            v_max = 2 * q_order
+            for _ in range(5):
+                order = [rng.choice(roots) for _ in range(rng.randint(2, 5))]
+                seed = rng.random()
+                got = _bracketed(random.Random(seed), [dilog(q, r, bound, v_max) for r in order],
+                                 qt_multiply)
+                want = _bracketed(random.Random(seed),
+                                  [oracles.dense_dilog(q, r, bound, v_max) for r in order],
+                                  oracles.dense_times)
+                for g in gammas:
+                    assert got.coefficient(g) == want.coefficient(g), (order, g)
 
 
 def as_values(el):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from quiverdt import cli
+from quiverdt import VSeries, cli, parse_quiver, trivial_dt
 
 
 def run(capsys, *argv):
@@ -116,6 +116,31 @@ def test_dt_a2(capsys, quiver_dir):
     assert "y(1,1): " in out
 
 
+@pytest.mark.parametrize("q_order", [0, 1])
+@pytest.mark.parametrize("name", ["a2", "a3", "atilde2", "d4", "kronecker"])
+def test_dt_lists_only_terms_nonzero_up_to_the_q_order(capsys, quiver_dir, name, q_order):
+    """A series that is nonzero only past v^(2 * q-order) is no term of the
+    invariant at that q-order: text, jsonl and the summary's count list
+    exactly the gammas whose coefficient() is nonzero."""
+    path = quiver_dir / f"{name}.json"
+    argv = ("dt", "--quiver", str(path), "--gamma-bound", "2", "--q-order", str(q_order))
+    q = parse_quiver(path.read_text())
+    bound = q.vector({v: 2 for v in q.vertices})
+    el = trivial_dt(q, bound, 2 * q_order)
+    want = [g for g in el.support() if el.coefficient(g)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("y(")] == [
+        f"y{g}: {el.coefficient(g)}" for g in want]
+    assert out.rstrip().endswith(f"OK: {len(want)} terms within bound {bound}")
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    rows = jsonl_rows(out)
+    assert [r["gamma"] for r in rows if r["type"] == "dt-term"] == [g.as_dict() for g in want]
+    assert all(r["series"] for r in rows if r["type"] == "dt-term")
+    assert rows[-1]["type"] == "summary" and rows[-1]["terms"] == len(want)
+
+
 def test_factorize_single_partition(capsys, a3_path):
     code, out, _ = run(capsys, "factorize", "--quiver", a3_path,
                        "--partition", '[["1"],["2","3"]]',
@@ -143,7 +168,7 @@ def test_factorize_fail_exits_1(capsys, a3_path, monkeypatch):
     def sabotage(q, p, bound, v_max, reference=None):
         report = real(q, p, bound, v_max, reference=reference)
         g = q.vector([1, 0, 0])
-        bad = [(g, report.quiver and cli.VSeries.one(v_max), cli.VSeries.zero(v_max))]
+        bad = [(g, report.quiver and VSeries.one(v_max), VSeries.zero(v_max))]
         return type(report)(report.quiver, report.partition, report.order,
                             report.bound, report.v_max, False, tuple(bad))
 
@@ -163,7 +188,7 @@ def test_factorize_all_partitions_counts_the_failures(capsys, a3_path, monkeypat
         report = real(q, p, bound, v_max, reference=reference)
         if p.size != 2:
             return report
-        bad = ((q.vector([1, 0, 0]), cli.VSeries.one(v_max), cli.VSeries.zero(v_max)),)
+        bad = ((q.vector([1, 0, 0]), VSeries.one(v_max), VSeries.zero(v_max)),)
         return type(report)(report.quiver, report.partition, report.order,
                             report.bound, report.v_max, False, bad)
 

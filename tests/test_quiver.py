@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import oracles
 from quiverdt import (
     CyclicQuiverError,
-    DimVector,
     KeyMismatchError,
     NotAdmissibleError,
     NotAPartitionError,

@@ -3,13 +3,11 @@ from __future__ import annotations
 
 import itertools
 import re
-import random
 
 import pytest
 
 import oracles
 from quiverdt import (
-    InconsistencyError,
     InvalidInputError,
     InvalidOrderError,
     KeyMismatchError,
