@@ -80,10 +80,10 @@ series.compare_width gives for both sides; series holds the compare and
 its proof.  A lone product whose operands and reference have one parity
 each, 18,072 of the 19,980 compares of a seed-0 torus-sweep round, costs
 one multiply, one subtraction and one mask.  Only a target that fails the
-test is unpacked, with the top-digit and v = 1 checks of series, to build
-its mismatch.  A target that matches is never unpacked, so its digit-sum
-check does not run; the proven width bound keeps its digits exact, as it
-does for every product.
+test is unpacked, up to v_max only, with the top-digit and v = 1 checks
+of series, to build its mismatch.  A target that matches is never
+unpacked, so its digit-sum check does not run; the proven width bound
+keeps its digits exact, as it does for every product.
 
 Work that depends on one series alone, its norms and packed halves, is
 done once per series, not once per product: it is kept in the series'
@@ -340,11 +340,11 @@ def _mismatches(x: QuantumElement, y: QuantumElement, reference: QuantumElement,
     width = compare_width(x.terms.values(), y.terms.values(), ref.values())
     targets = _contributions(x, y, width)
     differ, reached = [], 0
-    for g, held, cut in targets:
+    for g, held, _ in targets:
         r = ref.get(g)
         reached += r is not None
         if not target_agrees(held, r, width, v_max):
-            differ.append((g, _cut(r, v_max), _cut(target_series(held, cut, width), v_max)))
+            differ.append((g, _cut(r, v_max), _cut(target_series(held, v_max, width), v_max)))
     if reached < len(ref):  # the product is zero at a gamma it never reaches
         for g in ref.keys() - {g for g, _, _ in targets}:
             r = _cut(ref[g], v_max)

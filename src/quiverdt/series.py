@@ -401,13 +401,8 @@ def _born_packed(v_max: int, low: int, digits: tuple[int, ...], value: int, widt
     are zero that value is a multiple of 2^(width*s), so shifting it right
     by width * s packs digits[s:e] exactly.
     """
-    # in q-steps the digits are a run from exponent 0, cut at (v_max - low) // 2;
-    # a run within the cut with nonzero ends, as a product of canonical runs
-    # mostly is, is already canonical
-    if len(digits) <= (v_max - low) // 2 + 1 and digits[0] and digits[-1]:
-        start, run = 0, digits
-    else:
-        start, run = _trim((v_max - low) // 2, 0, digits)
+    # in q-steps the digits are a run from exponent 0, cut at (v_max - low) // 2
+    start, run = _trim((v_max - low) // 2, 0, digits)
     if not run:
         return VSeries._canonical(v_max, 0, ())
     end = start + len(run)

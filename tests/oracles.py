@@ -109,6 +109,13 @@ TIGHT_WIDTH_OPERANDS = {
 }
 
 
+def _work(q, bound, v_max) -> int:
+    """v_max plus sum(bound[t] * bound[h]) over arrows t -> h: the cutoff at y_0."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    b = bound.values
+    return v_max + sum(b[index[a.tail]] * b[index[a.head]] for a in q.arrows)
+
+
 def dense_qt_multiply(x, y, at_work: bool = False) -> dict[tuple[int, ...], VSeries]:
     """The quantum torus product x * y as {gamma values: series at gamma's cutoff}.
 
@@ -122,7 +129,7 @@ def dense_qt_multiply(x, y, at_work: bool = False) -> dict[tuple[int, ...], VSer
     b = x.bound.values
     index = {v: i for i, v in enumerate(q.vertices)}
     arrows = [(index[a.tail], index[a.head]) for a in q.arrows]
-    work = x.v_max + sum(b[t] * b[h] for t, h in arrows)
+    work = _work(q, x.bound, x.v_max)
 
     def cut(g):
         return work if at_work else work - sum(g[t] * g[h] for t, h in arrows)
@@ -141,13 +148,6 @@ def dense_qt_multiply(x, y, at_work: bool = False) -> dict[tuple[int, ...], VSer
             dict_convolve_into(acc.setdefault(total, {}), c1, c2, shift, sign, cut(total))
     out = {g: VSeries.from_terms(cut(g), coeffs) for g, coeffs in acc.items()}
     return {g: s for g, s in out.items() if not s.is_zero}
-
-
-def _work(q, bound, v_max) -> int:
-    """v_max plus sum(bound[t] * bound[h]) over arrows t -> h: the cutoff at y_0."""
-    index = {v: i for i, v in enumerate(q.vertices)}
-    b = bound.values
-    return v_max + sum(b[index[a.tail]] * b[index[a.head]] for a in q.arrows)
 
 
 def dense_dilog(q, gamma, bound, v_max) -> QuantumElement:
